@@ -572,16 +572,16 @@ pub fn run(inputs: &Inputs, seconds: u64) -> Result<Report, String> {
             "share",
         ));
     }
-    for (name, key) in [
-        ("profile.query_text_us", "profile.query_text_us"),
-        ("profile.element_us", "profile.element_us"),
-        ("bm25.search_us", "bm25.search_us"),
-        ("ann.search_us", "ann.search_us"),
-        ("join.joinable_tables_us", "join.joinable_tables_us"),
-        ("join.pkfk_us", "join.pkfk_us"),
-        ("union.unionable_tables_us", "union.unionable_tables_us"),
+    for key in [
+        "profile.query_text_us",
+        "profile.element_us",
+        "bm25.search_us",
+        "ann.search_us",
+        "join.joinable_tables_us",
+        "join.pkfk_us",
+        "union.unionable_tables_us",
     ] {
-        m.push(metric(name, samples.quantile(key, 0.5), "us"));
+        m.push(metric(key, samples.quantile(key, 0.5), "us"));
         counts.push((key.to_string(), samples.count(key)));
     }
     for op in WriteOp::OPS {
@@ -619,8 +619,7 @@ pub fn run(inputs: &Inputs, seconds: u64) -> Result<Report, String> {
     m.push(metric("setup.open_s", open_s, "s"));
     m.push(metric("setup.warmup_s", stage(|t| t.warmup), "s"));
 
-    let mut untraced_sorted = untraced.clone();
-    let untraced_p50 = load::median(&mut untraced_sorted);
+    let untraced_p50 = load::median(&mut untraced);
     let traced_p50 = samples.quantile("reactor.rt_us", 0.5);
     m.push(metric(
         "trace.overhead_pct",
