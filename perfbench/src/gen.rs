@@ -263,7 +263,7 @@ pub const HOT_SET: usize = 64;
 fn mixed_query(kind: Kind, view: &LakeView, rng: &mut Rng) -> DiscoveryQuery {
     match kind {
         Kind::Keyword => {
-            let mode = *rng.pick(&[SearchMode::All, SearchMode::Text, SearchMode::Tables]);
+            let mode = *rng.pick(&SEARCH_MODES);
             QueryBuilder::keyword(rng.pick(&view.cells).as_str())
                 .mode(mode)
                 .top_k(10)
@@ -296,13 +296,32 @@ fn search_query(kind: Kind, view: &LakeView, rng: &mut Rng) -> DiscoveryQuery {
         _ => {
             let n = 1 + rng.below(3);
             let text: Vec<&str> = (0..n).map(|_| rng.pick(&view.terms).as_str()).collect();
-            let mode = *rng.pick(&[SearchMode::All, SearchMode::Text, SearchMode::Tables]);
-            QueryBuilder::keyword(text.join(" "))
-                .mode(mode)
-                .top_k(10)
-                .build()
+            let mode = *rng.pick(&SEARCH_MODES);
+            search_keyword(&text.join(" "), mode)
         }
     }
+}
+
+const SEARCH_MODES: [SearchMode; 3] = [SearchMode::All, SearchMode::Text, SearchMode::Tables];
+
+fn search_keyword(text: &str, mode: SearchMode) -> DiscoveryQuery {
+    QueryBuilder::keyword(text).mode(mode).top_k(10).build()
+}
+
+/// The `search` queries that repeat from outside the hot set: every
+/// one-term keyword query in every mode (three times the vocabulary, about
+/// 6.6k on the x4 lake), followed by the hot set. Two- and three-term
+/// queries and passages almost never repeat. Sending this list once puts
+/// the result cache where a long `search` stream leaves it, so its hit
+/// ratio does not climb through the timed window.
+pub fn search_repeats(view: &LakeView, hot: &HotSet) -> Vec<DiscoveryQuery> {
+    let mut queries: Vec<DiscoveryQuery> = view
+        .terms
+        .iter()
+        .flat_map(|term| SEARCH_MODES.map(|mode| search_keyword(term, mode)))
+        .collect();
+    queries.extend(hot.keyword.iter().chain(&hot.cross_modal).cloned());
+    queries
 }
 
 /// The `search` hot set: per kind, a list ranked by Zipf popularity.
@@ -633,6 +652,28 @@ mod tests {
             let hot_share = drawn.iter().filter(|d| d.hot).count() as f64 / 10_000.0;
             assert!((hot_share - 0.3).abs() < 0.01, "hot share {hot_share}");
         }
+    }
+
+    #[test]
+    fn search_repeats_hold_every_hot_and_one_term_query() {
+        let v = view();
+        let hot = Arc::new(HotSet::new(&v, 3));
+        let repeats: std::collections::HashSet<Vec<u8>> =
+            search_repeats(&v, &hot).iter().map(encode_query).collect();
+        let mut s = QueryStream::search(Arc::clone(&v), Arc::clone(&hot), 5);
+        let mut covered = 0;
+        for _ in 0..10_000 {
+            let drawn = s.draw();
+            let one_term =
+                matches!(&drawn.query, DiscoveryQuery::Keyword { text, .. } if !text.contains(' '));
+            if drawn.hot || one_term {
+                assert!(repeats.contains(&encode_query(&drawn.query)));
+                covered += 1;
+            }
+        }
+        // 30% hot, plus a third of the other keyword queries.
+        let share = f64::from(covered) / 10_000.0;
+        assert!((0.45..0.52).contains(&share), "covered share {share}");
     }
 
     #[test]

@@ -19,13 +19,13 @@ use cmdl_server::{
 };
 
 use crate::client::Conn;
-use crate::gen::{self, HotSet, LakeView, QueryStream, Source, WriteOp, WriteStream};
+use crate::gen::{self, Drawn, HotSet, LakeView, QueryStream, Source, WriteOp, WriteStream};
 
 /// Client connections (one thread each): the host has two cores.
 pub const CONNECTIONS: usize = 2;
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 3;
+pub const SETUPS: usize = 5;
 
 /// Every `SAMPLE_EVERY`-th read of a connection is checked against an
 /// in-process `CatalogSnapshot::execute`.
@@ -72,14 +72,41 @@ impl Workload {
         }
     }
 
-    /// Requests per connection in the untimed warm-up pass.
+    /// Least length of the sub-windows a timed window is cut into (see
+    /// [`window_stats`]): long enough for well over 10 reads beyond each
+    /// sub-window's p99 (`mixed` completes about 800 reads a second,
+    /// the others several thousand).
+    fn sub_window(self) -> Duration {
+        match self {
+            Workload::Mixed => Duration::from_secs(3),
+            Workload::Search | Workload::Ingest => Duration::from_secs(1),
+        }
+    }
+
+    /// How many equal sub-windows a timed window of `length` is cut into.
+    fn sub_windows(self, length: Duration) -> usize {
+        ((length.as_nanos() / self.sub_window().as_nanos()) as usize).max(1)
+    }
+
+    /// Reads per connection in the untimed warm-up pass. It fills the
+    /// thread-local word-vector caches of the executor and rayon threads;
+    /// on `search` it sends the whole of [`gen::search_repeats`] instead,
+    /// which also brings the result cache to its steady state. (On `ingest`
+    /// every write empties the result cache, so there is no state to
+    /// reach.)
     fn warmup_reads(self) -> usize {
         match self {
             Workload::Mixed => 328,
-            Workload::Search | Workload::Ingest => 3_000,
+            Workload::Search => usize::MAX,
+            Workload::Ingest => 500,
         }
     }
 }
+
+/// Connections of the `search` warm-up. With more connections than cores,
+/// the pass is bound by the work of its cache misses rather than by
+/// round-trip wake-ups, which vary much more with the host's load.
+const PRIME_CONNECTIONS: usize = 8;
 
 /// Warm-up writes on `ingest` (then drained, so the lake is back to its
 /// base size when timing starts).
@@ -233,24 +260,31 @@ pub fn setup(inputs: &Inputs, index: usize) -> Result<(Served, SetupTimes), Stri
 }
 
 fn warmup(inputs: &Inputs, served: &Served, index: usize) -> Outcome {
-    let reads = inputs.workload.warmup_reads();
-    let mut roles: Vec<Role> = Vec::new();
-    match inputs.workload {
-        Workload::Ingest => {
-            roles.push(Role::Writer(inputs.writes("warmup", 0, "w")));
-            roles.push(Role::Reader(inputs.reads("warmup", 1, index)));
-        }
-        _ => {
-            for conn in 0..CONNECTIONS as u64 {
-                roles.push(Role::Reader(inputs.reads("warmup", conn, index)));
+    let roles: Vec<Role> = match inputs.workload {
+        Workload::Mixed => (0..CONNECTIONS as u64)
+            .map(|conn| Role::Reader(inputs.reads("warmup", conn, index)))
+            .collect(),
+        Workload::Search => {
+            let lake = &inputs.lakes[index];
+            let mut parts = vec![Vec::new(); PRIME_CONNECTIONS];
+            for (i, query) in gen::search_repeats(&lake.view, &lake.hot)
+                .into_iter()
+                .enumerate()
+            {
+                parts[i % PRIME_CONNECTIONS].push(query);
             }
+            parts.into_iter().map(Role::Replay).collect()
         }
-    }
+        Workload::Ingest => vec![
+            Role::Writer(inputs.writes("warmup", 0, "w")),
+            Role::Reader(inputs.reads("warmup", 1, index)),
+        ],
+    };
     let mut outcome = drive(
         served,
         roles,
         Length::Count {
-            reads,
+            reads: inputs.workload.warmup_reads(),
             writes: WARMUP_WRITES,
         },
         inputs.workload == Workload::Ingest,
@@ -259,13 +293,13 @@ fn warmup(inputs: &Inputs, served: &Served, index: usize) -> Outcome {
     outcome
 }
 
-/// When a load pass ends.
+/// How long a load pass runs: a timed window, or a count of requests.
 #[derive(Debug, Clone, Copy)]
-pub enum Stop {
-    /// A timed window from `start` to `end`.
-    At {
-        start: Instant,
-        end: Instant,
+pub enum Length {
+    /// A timed window cut into `per` equal sub-windows.
+    Window {
+        length: Duration,
+        per: usize,
     },
     Count {
         reads: usize,
@@ -273,28 +307,27 @@ pub enum Stop {
     },
 }
 
-/// Least length of the sub-windows a timed window is cut into (see
-/// [`window_stats`]).
-pub const SUB_WINDOW: Duration = Duration::from_secs(3);
-
-impl Stop {
-    /// The sub-window a read completing now falls in.
-    fn bucket(self) -> u16 {
+impl Length {
+    /// Whether a connection that started at `start` and has sent `count`
+    /// requests (reads, or writes when not `reader`) is done.
+    fn done(self, start: Instant, count: usize, reader: bool) -> bool {
         match self {
-            Stop::At { start, end } => {
-                let per = sub_windows(end - start) as u128;
-                let i = start.elapsed().as_nanos() * per / (end - start).as_nanos().max(1);
-                i.min(per - 1) as u16
-            }
-            Stop::Count { .. } => 0,
+            Length::Window { length, .. } => start.elapsed() >= length,
+            Length::Count { reads, writes } => count >= if reader { reads } else { writes },
         }
     }
-}
 
-/// How many equal sub-windows, of at least [`SUB_WINDOW`], a window of
-/// `length` is cut into.
-pub fn sub_windows(length: Duration) -> usize {
-    ((length.as_nanos() / SUB_WINDOW.as_nanos()) as usize).max(1)
+    /// The sub-window a read completing now falls in.
+    fn bucket(self, start: Instant) -> u16 {
+        match self {
+            Length::Window { length, per } => {
+                let per = per as u128;
+                let i = start.elapsed().as_nanos() * per / length.as_nanos().max(1);
+                i.min(per - 1) as u16
+            }
+            Length::Count { .. } => 0,
+        }
+    }
 }
 
 /// One completed read: its sub-window and its latency in nanoseconds.
@@ -302,6 +335,8 @@ pub type Read = (u16, u32);
 
 pub enum Role {
     Reader(QueryStream),
+    /// A fixed list of reads, sent once.
+    Replay(Vec<DiscoveryQuery>),
     Writer(WriteStream),
 }
 
@@ -429,8 +464,7 @@ pub fn drive(served: &Served, roles: Vec<Role>, length: Length, inline_samples: 
         let started = *start.get_or_init(Instant::now);
         // Host CPU steal per sub-window, read at each boundary.
         let mut steal = Vec::new();
-        if let Length::Window(d) = length {
-            let per = sub_windows(d);
+        if let Length::Window { length: d, per } = length {
             let mut ticks = cpu_ticks();
             for k in 1..=per {
                 let boundary = started + d.mul_f64(k as f64 / per as f64);
@@ -516,13 +550,6 @@ pub fn write_request(
     })
 }
 
-/// How long a load pass runs: a timed window, or a count of requests.
-#[derive(Debug, Clone, Copy)]
-pub enum Length {
-    Window(Duration),
-    Count { reads: usize, writes: usize },
-}
-
 fn run_conn(
     addr: SocketAddr,
     role: Role,
@@ -535,92 +562,34 @@ fn run_conn(
     let mut log = ConnLog::default();
     let mut conn = Conn::connect(addr);
     barrier.wait();
-    let stop = match length {
-        Length::Window(d) => {
-            let start = *start.get_or_init(Instant::now);
-            Stop::At {
-                start,
-                end: start + d,
-            }
-        }
-        Length::Count { reads, writes } => Stop::Count { reads, writes },
-    };
+    let start = *start.get_or_init(Instant::now);
     let Ok(conn) = conn.as_mut() else {
         log.attempted = 1;
         log.failed = 1;
         log.problems.push(format!("connect to {addr} failed"));
         return log;
     };
-    let mut parsed: HashSet<u64> = HashSet::new();
     match role {
-        Role::Reader(mut stream) => {
-            let mut owe_sample = false;
-            let mut reads = 0usize;
-            while !done(stop, reads, true) {
-                let drawn = stream.draw();
-                let body = query_path(&drawn.query);
-                log.attempted += 1;
-                let sent = Instant::now();
-                let status = conn.call("POST", "/query", &body);
-                let elapsed = sent.elapsed().as_nanos() as u64;
-                reads += 1;
-                match status {
-                    Ok(200) => log
-                        .reads
-                        .push((stop.bucket(), elapsed.min(u64::from(u32::MAX)) as u32)),
-                    Ok(_) => {
-                        log.failed += 1;
-                        continue;
-                    }
-                    Err(_) => {
-                        log.failed += 1;
-                        if conn.reconnect().is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-                log.hot_reads += u64::from(drawn.hot);
-                let sample = owe_sample || reads % SAMPLE_EVERY == 1;
-                let hash = body_hash(&conn.body);
-                if !sample && parsed.contains(&hash) {
-                    continue;
-                }
-                let served = match envelope(&conn.body) {
-                    Ok(ServiceResponse {
-                        ok: true,
-                        payload: Some(ResponsePayload::Query(served)),
-                        ..
-                    }) => served,
-                    Ok(other) => {
-                        log.problems
-                            .push(format!("query envelope without a result: {other:?}"));
-                        continue;
-                    }
-                    Err(e) => {
-                        log.problems.push(e);
-                        continue;
-                    }
-                };
-                parsed.insert(hash);
-                if !sample {
-                    continue;
-                }
-                if inline_samples {
-                    // Writes move the generation; check now, against the
-                    // same generation, or owe the sample to the next read.
-                    let snapshot = service.snapshot();
-                    owe_sample = snapshot.generation != served.generation;
-                    if !owe_sample {
-                        if let Some(problem) = parity(&snapshot, &drawn.query, &served) {
-                            log.problems.push(problem);
-                        }
-                        log.parity_checked += 1;
-                    }
-                } else {
-                    log.samples.push((drawn.query, served));
-                }
-            }
+        Role::Reader(mut stream) => read_loop(
+            &mut log,
+            conn,
+            length,
+            start,
+            service,
+            inline_samples,
+            || Some(stream.draw()),
+        ),
+        Role::Replay(queries) => {
+            let mut queries = queries.into_iter();
+            read_loop(
+                &mut log,
+                conn,
+                length,
+                start,
+                service,
+                inline_samples,
+                || queries.next().map(|query| Drawn { query, hot: false }),
+            )
         }
         Role::Writer(mut stream) => {
             let mut writer = WriterLog::default();
@@ -634,12 +603,12 @@ fn run_conn(
                         Some(op) => op,
                         None => break,
                     },
-                    None if done(stop, writes, false) => match stop {
-                        Stop::Count { .. } => {
+                    None if length.done(start, writes, false) => match length {
+                        Length::Count { .. } => {
                             tail = Some(stream.drain().into_iter());
                             continue;
                         }
-                        Stop::At { .. } => break,
+                        Length::Window { .. } => break,
                     },
                     None => stream.draw(),
                 };
@@ -716,14 +685,93 @@ fn run_conn(
     log
 }
 
-fn done(stop: Stop, count: usize, reader: bool) -> bool {
-    match stop {
-        Stop::At { end, .. } => Instant::now() >= end,
-        Stop::Count { reads, writes } => count >= if reader { reads } else { writes },
+/// Send reads from `next` until the pass ends or `next` runs out.
+fn read_loop(
+    log: &mut ConnLog,
+    conn: &mut Conn,
+    length: Length,
+    start: Instant,
+    service: &CmdlService,
+    inline_samples: bool,
+    mut next: impl FnMut() -> Option<Drawn>,
+) {
+    let mut parsed: HashSet<u64> = HashSet::new();
+    let mut owe_sample = false;
+    let mut reads = 0usize;
+    while !length.done(start, reads, true) {
+        let Some(drawn) = next() else {
+            break;
+        };
+        let body = query_path(&drawn.query);
+        log.attempted += 1;
+        let sent = Instant::now();
+        let status = conn.call("POST", "/query", &body);
+        let elapsed = sent.elapsed().as_nanos() as u64;
+        reads += 1;
+        let sample = owe_sample || reads % SAMPLE_EVERY == 1;
+        match status {
+            Ok(200) => log.reads.push((
+                length.bucket(start),
+                elapsed.min(u64::from(u32::MAX)) as u32,
+            )),
+            Ok(_) => {
+                // A failed read owes its sample to the next one.
+                log.failed += 1;
+                owe_sample = sample;
+                continue;
+            }
+            Err(_) => {
+                log.failed += 1;
+                owe_sample = sample;
+                if conn.reconnect().is_err() {
+                    break;
+                }
+                continue;
+            }
+        }
+        log.hot_reads += u64::from(drawn.hot);
+        let hash = body_hash(&conn.body);
+        if !sample && parsed.contains(&hash) {
+            continue;
+        }
+        let served = match envelope(&conn.body) {
+            Ok(ServiceResponse {
+                ok: true,
+                payload: Some(ResponsePayload::Query(served)),
+                ..
+            }) => served,
+            Ok(other) => {
+                log.problems
+                    .push(format!("query envelope without a result: {other:?}"));
+                continue;
+            }
+            Err(e) => {
+                log.problems.push(e);
+                continue;
+            }
+        };
+        parsed.insert(hash);
+        if !sample {
+            continue;
+        }
+        owe_sample = false;
+        if inline_samples {
+            // Writes move the generation; check now, against the
+            // same generation, or owe the sample to the next read.
+            let snapshot = service.snapshot();
+            owe_sample = snapshot.generation != served.generation;
+            if !owe_sample {
+                if let Some(problem) = parity(&snapshot, &drawn.query, &served) {
+                    log.problems.push(problem);
+                }
+                log.parity_checked += 1;
+            }
+        } else {
+            log.samples.push((drawn.query, served));
+        }
     }
 }
 
-/// The timed window: two closed-loop connections for `seconds`.
 /// Timed window number `index` of a run; each draws its own streams.
 pub fn window(inputs: &Inputs, served: &Served, length: Duration, index: usize) -> Outcome {
     let first = (index * CONNECTIONS) as u64;
@@ -737,8 +785,15 @@ pub fn window(inputs: &Inputs, served: &Served, length: Duration, index: usize) 
             .collect(),
     };
     let ingest = inputs.workload == Workload::Ingest;
-    let mut outcome = drive(served, roles, Length::Window(length), ingest);
+    let per = inputs.workload.sub_windows(length);
+    let mut outcome = drive(served, roles, Length::Window { length, per }, ingest);
     outcome.check_samples(&served.service);
+    if outcome.failed > 0 {
+        outcome.problems.push(format!(
+            "{} of {} requests failed in timed window {index}",
+            outcome.failed, outcome.attempted
+        ));
+    }
     outcome
 }
 
@@ -828,6 +883,8 @@ pub struct WindowStats {
     pub p50_ns: f64,
     pub p99_ns: f64,
     pub sub_windows: usize,
+    /// Length of one sub-window, in seconds.
+    pub width: f64,
     pub kept: usize,
     /// Fewest reads in a kept sub-window.
     pub fewest: usize,
@@ -836,42 +893,47 @@ pub struct WindowStats {
     pub max_steal: f64,
 }
 
-/// Cut `windows` timed windows of `length` into sub-windows, keep the half
-/// with the least host CPU steal (`steal[window][sub-window]`), and take
-/// the medians of their throughput and latency quantiles. The hypervisor
-/// runs other guests on this machine's cores in bursts of seconds; a
-/// closed loop of two connections loses several times the stolen share in
-/// throughput, because every request waits on three thread wake-ups. The
-/// steal counter is the host's, not the program's, so selecting on it
-/// keeps the figures about the program. `reads` carry (window, (sub-window,
-/// latency)).
+/// Cut each set-up's timed window of `length` into sub-windows, keep the
+/// same number ([`kept_per_window`]) with the least host CPU steal from
+/// every window (`steal[window][sub-window]`), so every lake carries equal
+/// weight, and take the medians of their throughput and latency quantiles.
+/// The hypervisor runs other guests on this machine's cores in bursts of
+/// seconds; a closed loop of two connections loses several times the
+/// stolen share in throughput, because every request waits on three thread
+/// wake-ups. The steal counter is the host's, not the program's, so
+/// selecting on it keeps the figures about the program. `reads` carry
+/// (window, (sub-window, latency)).
 pub fn window_stats(reads: &[(usize, Read)], steal: &[Vec<f64>], length: Duration) -> WindowStats {
-    let per = sub_windows(length);
+    let per = steal.first().map_or(1, Vec::len).max(1);
     let n = per * steal.len();
     let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); n];
     for &(w, (b, ns)) in reads {
         buckets[w * per + usize::from(b)].push(u64::from(ns));
     }
     let steal_of = |i: usize| steal[i / per].get(i % per).copied().unwrap_or(0.0);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| steal_of(a).total_cmp(&steal_of(b)).then(a.cmp(&b)));
-    let kept = &order[..n.div_ceil(2)];
+    let mut kept = Vec::new();
+    for w in 0..steal.len() {
+        let mut order: Vec<usize> = (w * per..(w + 1) * per).collect();
+        order.sort_by(|&a, &b| steal_of(a).total_cmp(&steal_of(b)).then(a.cmp(&b)));
+        kept.extend_from_slice(&order[..kept_per_window(per)]);
+    }
     let width = length.as_secs_f64() / per as f64;
     let mut rate = Vec::new();
     let mut p50 = Vec::new();
     let mut p99 = Vec::new();
-    for &i in kept {
+    for &i in &kept {
         let b = &mut buckets[i];
         b.sort_unstable();
         rate.push(b.len() as f64 / width);
-        p50.push(quantile(b, 0.50));
-        p99.push(quantile(b, 0.99));
+        p50.push(quantile(b, 0.50) as f64);
+        p99.push(quantile(b, 0.99) as f64);
     }
     WindowStats {
         qps: median(&mut rate),
         p50_ns: median(&mut p50),
         p99_ns: median(&mut p99),
         sub_windows: n,
+        width,
         kept: kept.len(),
         fewest: kept.iter().map(|&i| buckets[i].len()).min().unwrap_or(0),
         kept_steal: kept.iter().map(|&i| steal_of(i)).fold(0.0, f64::max),
@@ -879,13 +941,18 @@ pub fn window_stats(reads: &[(usize, Read)], steal: &[Vec<f64>], length: Duratio
     }
 }
 
-/// `q`-quantile (nearest rank) of sorted values.
-pub fn quantile(sorted: &[u64], q: f64) -> f64 {
+/// Sub-windows kept of each window of `per`: two in three.
+fn kept_per_window(per: usize) -> usize {
+    (2 * per).div_ceil(3)
+}
+
+/// `q`-quantile (nearest rank) of sorted values; the default when empty.
+pub fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return 0.0;
+        return T::default();
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1] as f64
+    sorted[rank - 1]
 }
 
 pub fn median(values: &mut [f64]) -> f64 {

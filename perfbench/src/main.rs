@@ -34,7 +34,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut workload = None;
     let mut seed = 1;
-    let mut seconds = 10;
+    let mut seconds = 45;
     let mut trace = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -184,8 +184,15 @@ fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
         } else {
             load::Served::close(served);
         }
+        let mut per_sub_window = vec![0usize; outcome.steal.len()];
+        for &(b, _) in &outcome.reads {
+            if let Some(n) = per_sub_window.get_mut(usize::from(b)) {
+                *n += 1;
+            }
+        }
         lines.push(format!(
-            "set-up {index}: {} reads in {:.2} s, {} writes, host CPU steal per sub-window {:.1?} %",
+            "set-up {index}: {} reads in {:.2} s ({per_sub_window:?} per sub-window), {} writes, \
+             host CPU steal per sub-window {:.1?} %",
             outcome.reads.len(),
             outcome.seconds,
             outcome.write_ns.len(),
@@ -239,11 +246,11 @@ fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
     ));
     lines.push(format!(
         "qps, p50 and p99 are medians over the {} of {} sub-windows of {:.2} s with the least \
-         host CPU steal (at most {:.1}% kept, {:.1}% worst); the fewest reads in a kept \
+         host CPU steal in each set-up (at most {:.1}% kept, {:.1}% worst); the fewest reads in a kept \
          sub-window is {} ({} beyond its p99)",
         stats.kept,
         stats.sub_windows,
-        length.as_secs_f64() / load::sub_windows(length) as f64,
+        stats.width,
         stats.kept_steal * 100.0,
         stats.max_steal * 100.0,
         stats.fewest,
@@ -255,12 +262,12 @@ fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
         extra.push(metric("writes_per_s", writes.len() as f64 / seconds, "1/s"));
         extra.push(metric(
             "write_p50_ms",
-            ms(load::quantile(&writes, 0.50)),
+            ms(load::quantile(&writes, 0.50) as f64),
             "ms",
         ));
         extra.push(metric(
             "write_p99_ms",
-            ms(load::quantile(&writes, 0.99)),
+            ms(load::quantile(&writes, 0.99) as f64),
             "ms",
         ));
     }

@@ -139,11 +139,7 @@ impl Samples {
     fn quantile(&mut self, name: &str, q: f64) -> f64 {
         let v = self.get(name);
         v.sort_by(f64::total_cmp);
-        if v.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
-        v[rank - 1]
+        load::quantile(v, q)
     }
 
     fn count(&mut self, name: &str) -> usize {
