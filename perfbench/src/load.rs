@@ -1,6 +1,6 @@
 //! Set-up, closed-loop load and output checks.
 //!
-//! A run sets the catalog up several times (the median is `setup_s`). Each
+//! A run sets the catalog up several times (see [`setup_seconds`]). Each
 //! set-up serves one share of the timed window, driven from two client
 //! threads over loopback, each sending its next request only after the
 //! previous reply.
@@ -24,8 +24,20 @@ use crate::gen::{self, Drawn, HotSet, LakeView, QueryStream, Source, WriteOp, Wr
 /// Client connections (one thread each): the host has two cores.
 pub const CONNECTIONS: usize = 2;
 
-/// Set-ups per run; `setup_s` is their median.
+/// Set-ups per run (see [`setup_seconds`]).
 pub const SETUPS: usize = 5;
+
+/// Length of the sub-windows a timed window is cut into for selection
+/// on host CPU steal (see [`window_stats`]): short enough to cut around
+/// the host's shorter bursts, long enough to read steal to about 1%
+/// (`/proc/stat` counts in 10 ms ticks).
+const SUB_WINDOW: Duration = Duration::from_millis(500);
+
+/// How many equal sub-windows of about [`SUB_WINDOW`] a timed window of
+/// `length` is cut into.
+fn sub_windows(length: Duration) -> usize {
+    ((length.as_nanos() / SUB_WINDOW.as_nanos()) as usize).max(1)
+}
 
 /// Every `SAMPLE_EVERY`-th read of a connection is checked against an
 /// in-process `CatalogSnapshot::execute`.
@@ -70,22 +82,6 @@ impl Workload {
             cache,
             ..ReactorConfig::default()
         }
-    }
-
-    /// Least length of the sub-windows a timed window is cut into (see
-    /// [`window_stats`]): long enough for well over 10 reads beyond each
-    /// sub-window's p99 (`mixed` completes about 800 reads a second,
-    /// the others several thousand).
-    fn sub_window(self) -> Duration {
-        match self {
-            Workload::Mixed => Duration::from_secs(3),
-            Workload::Search | Workload::Ingest => Duration::from_secs(1),
-        }
-    }
-
-    /// How many equal sub-windows a timed window of `length` is cut into.
-    fn sub_windows(self, length: Duration) -> usize {
-        ((length.as_nanos() / self.sub_window().as_nanos()) as usize).max(1)
     }
 
     /// Reads per connection in the untimed warm-up pass. It fills the
@@ -185,6 +181,21 @@ pub struct SetupTimes {
     pub serve: f64,
     pub warmup: f64,
     pub total: f64,
+    /// Host CPU steal share over the whole set-up.
+    pub steal: f64,
+}
+
+/// `setup_s`: the median total of the half of the set-ups (rounded up)
+/// with the least host CPU steal, for the reason given at
+/// [`window_stats`].
+pub fn setup_seconds(times: &[SetupTimes]) -> f64 {
+    let mut by_steal = times.to_vec();
+    by_steal.sort_by(|a, b| a.steal.total_cmp(&b.steal));
+    let mut totals: Vec<f64> = by_steal[..times.len().div_ceil(2)]
+        .iter()
+        .map(|t| t.total)
+        .collect();
+    median(&mut totals)
 }
 
 pub struct Served {
@@ -213,6 +224,7 @@ impl Served {
 /// catalog, train the joint model, serve it, and run the warm-up pass.
 pub fn setup(inputs: &Inputs, index: usize) -> Result<(Served, SetupTimes), String> {
     let mut times = SetupTimes::default();
+    let ticks = cpu_ticks();
     let start = Instant::now();
     let lake = gen::lake(inputs.seed, index);
     times.lake = start.elapsed().as_secs_f64();
@@ -249,6 +261,7 @@ pub fn setup(inputs: &Inputs, index: usize) -> Result<(Served, SetupTimes), Stri
     let warm = warmup(inputs, &served, index);
     times.warmup = mark.elapsed().as_secs_f64();
     times.total = start.elapsed().as_secs_f64();
+    times.steal = steal_share(&ticks, &cpu_ticks());
     if !warm.correct() || warm.failed > 0 {
         return Err(format!(
             "warm-up pass failed: {} failed requests, {}",
@@ -785,7 +798,7 @@ pub fn window(inputs: &Inputs, served: &Served, length: Duration, index: usize) 
             .collect(),
     };
     let ingest = inputs.workload == Workload::Ingest;
-    let per = inputs.workload.sub_windows(length);
+    let per = sub_windows(length);
     let mut outcome = drive(served, roles, Length::Window { length, per }, ingest);
     outcome.check_samples(&served.service);
     if outcome.failed > 0 {
@@ -875,75 +888,93 @@ fn reopen(dir: &Path) -> Result<(HashSet<String>, HashSet<String>), String> {
     }
 }
 
-/// Figures of the timed windows of a run.
-pub struct WindowStats {
-    /// Reads per second, p50 and p99 in ns: medians over the kept
-    /// sub-windows.
+/// Reads per second, p50 and p99 in ns, of the reads of some seconds.
+#[derive(Debug, Clone, Copy)]
+pub struct Figures {
     pub qps: f64,
     pub p50_ns: f64,
     pub p99_ns: f64,
+    pub reads: usize,
+}
+
+impl Figures {
+    fn of(mut latencies: Vec<u64>, seconds: f64) -> Self {
+        latencies.sort_unstable();
+        Figures {
+            qps: latencies.len() as f64 / seconds.max(1e-9),
+            p50_ns: quantile(&latencies, 0.50) as f64,
+            p99_ns: quantile(&latencies, 0.99) as f64,
+            reads: latencies.len(),
+        }
+    }
+}
+
+/// Figures of the timed windows of a run.
+pub struct WindowStats {
+    /// Over the reads of all kept sub-windows together.
+    pub all: Figures,
+    /// Over the kept sub-windows of each set-up, with their number.
+    pub per_setup: Vec<(usize, Figures)>,
     pub sub_windows: usize,
     /// Length of one sub-window, in seconds.
     pub width: f64,
     pub kept: usize,
-    /// Fewest reads in a kept sub-window.
-    pub fewest: usize,
     /// Largest steal share among the kept sub-windows, and overall.
     pub kept_steal: f64,
     pub max_steal: f64,
 }
 
-/// Cut each set-up's timed window of `length` into sub-windows, keep the
-/// same number ([`kept_per_window`]) with the least host CPU steal from
-/// every window (`steal[window][sub-window]`), so every lake carries equal
-/// weight, and take the medians of their throughput and latency quantiles.
-/// The hypervisor runs other guests on this machine's cores in bursts of
-/// seconds; a closed loop of two connections loses several times the
-/// stolen share in throughput, because every request waits on three thread
-/// wake-ups. The steal counter is the host's, not the program's, so
-/// selecting on it keeps the figures about the program. `reads` carry
+/// Cut each set-up's timed window of `length` into sub-windows
+/// (`steal[window][sub-window]`), keep the third of all of them with the
+/// least host CPU steal, and take the throughput and latency quantiles of
+/// their reads together. The hypervisor runs other guests on this
+/// machine's cores in bursts of a fraction of a second to minutes; a
+/// closed loop of two connections loses several times the stolen share in
+/// throughput, because every request waits on three thread wake-ups. The
+/// steal counter is the host's, not the program's, so selecting on it
+/// keeps the figures about the program. Equal steal goes to the
+/// sub-window furthest into its window, taking each set-up in turn, so a
+/// run without steal keeps the last third of every window. `reads` carry
 /// (window, (sub-window, latency)).
 pub fn window_stats(reads: &[(usize, Read)], steal: &[Vec<f64>], length: Duration) -> WindowStats {
     let per = steal.first().map_or(1, Vec::len).max(1);
     let n = per * steal.len();
-    let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for &(w, (b, ns)) in reads {
-        buckets[w * per + usize::from(b)].push(u64::from(ns));
-    }
     let steal_of = |i: usize| steal[i / per].get(i % per).copied().unwrap_or(0.0);
-    let mut kept = Vec::new();
-    for w in 0..steal.len() {
-        let mut order: Vec<usize> = (w * per..(w + 1) * per).collect();
-        order.sort_by(|&a, &b| steal_of(a).total_cmp(&steal_of(b)).then(a.cmp(&b)));
-        kept.extend_from_slice(&order[..kept_per_window(per)]);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| (per - i % per, i / per));
+    order.sort_by(|&a, &b| steal_of(a).total_cmp(&steal_of(b)));
+    let kept = n.div_ceil(3);
+    let mut keep = vec![false; n];
+    for &i in &order[..kept] {
+        keep[i] = true;
+    }
+    let mut by_setup = vec![Vec::new(); steal.len()];
+    for &(w, (b, ns)) in reads {
+        if keep[w * per + usize::from(b)] {
+            by_setup[w].push(u64::from(ns));
+        }
     }
     let width = length.as_secs_f64() / per as f64;
-    let mut rate = Vec::new();
-    let mut p50 = Vec::new();
-    let mut p99 = Vec::new();
-    for &i in &kept {
-        let b = &mut buckets[i];
-        b.sort_unstable();
-        rate.push(b.len() as f64 / width);
-        p50.push(quantile(b, 0.50) as f64);
-        p99.push(quantile(b, 0.99) as f64);
-    }
+    let all = Figures::of(by_setup.concat(), kept as f64 * width);
     WindowStats {
-        qps: median(&mut rate),
-        p50_ns: median(&mut p50),
-        p99_ns: median(&mut p99),
+        all,
+        per_setup: by_setup
+            .into_iter()
+            .enumerate()
+            .map(|(w, l)| {
+                let k = keep[w * per..(w + 1) * per].iter().filter(|&&k| k).count();
+                (k, Figures::of(l, k as f64 * width))
+            })
+            .collect(),
         sub_windows: n,
         width,
-        kept: kept.len(),
-        fewest: kept.iter().map(|&i| buckets[i].len()).min().unwrap_or(0),
-        kept_steal: kept.iter().map(|&i| steal_of(i)).fold(0.0, f64::max),
+        kept,
+        kept_steal: order[..kept]
+            .iter()
+            .map(|&i| steal_of(i))
+            .fold(0.0, f64::max),
         max_steal: (0..n).map(steal_of).fold(0.0, f64::max),
     }
-}
-
-/// Sub-windows kept of each window of `per`: two in three.
-fn kept_per_window(per: usize) -> usize {
-    (2 * per).div_ceil(3)
 }
 
 /// `q`-quantile (nearest rank) of sorted values; the default when empty.

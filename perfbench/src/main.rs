@@ -184,15 +184,8 @@ fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
         } else {
             load::Served::close(served);
         }
-        let mut per_sub_window = vec![0usize; outcome.steal.len()];
-        for &(b, _) in &outcome.reads {
-            if let Some(n) = per_sub_window.get_mut(usize::from(b)) {
-                *n += 1;
-            }
-        }
         lines.push(format!(
-            "set-up {index}: {} reads in {:.2} s ({per_sub_window:?} per sub-window), {} writes, \
-             host CPU steal per sub-window {:.1?} %",
+            "set-up {index}: {} reads in {:.2} s, {} writes, host CPU steal per sub-window {:.0?} %",
             outcome.reads.len(),
             outcome.seconds,
             outcome.write_ns.len(),
@@ -211,12 +204,11 @@ fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
     writes.sort_unstable();
     let ms = |ns: f64| ns / 1e6;
     let stats = load::window_stats(&reads, &steal, length);
-    let mut totals: Vec<f64> = setup_times.iter().map(|t| t.total).collect();
     let metrics = vec![
-        metric("qps", stats.qps, "1/s"),
-        metric("p50_ms", ms(stats.p50_ns), "ms"),
-        metric("p99_ms", ms(stats.p99_ns), "ms"),
-        metric("setup_s", load::median(&mut totals), "s"),
+        metric("qps", stats.all.qps, "1/s"),
+        metric("p50_ms", ms(stats.all.p50_ns), "ms"),
+        metric("p99_ms", ms(stats.all.p99_ns), "ms"),
+        metric("setup_s", load::setup_seconds(&setup_times), "s"),
         metric("rss_mb", load::peak_rss_mb(), "MB"),
     ];
     let shapes: Vec<String> = inputs
@@ -245,17 +237,25 @@ fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
         writes.len(),
     ));
     lines.push(format!(
-        "qps, p50 and p99 are medians over the {} of {} sub-windows of {:.2} s with the least \
-         host CPU steal in each set-up (at most {:.1}% kept, {:.1}% worst); the fewest reads in a kept \
-         sub-window is {} ({} beyond its p99)",
+        "qps, p50 and p99 are over the {} reads ({} beyond the p99) of the {} of {} \
+         sub-windows of {:.2} s with the least host CPU steal (at most {:.1}% kept, {:.1}% worst)",
+        stats.all.reads,
+        stats.all.reads / 100,
         stats.kept,
         stats.sub_windows,
         stats.width,
         stats.kept_steal * 100.0,
         stats.max_steal * 100.0,
-        stats.fewest,
-        stats.fewest / 100,
     ));
+    for (i, (kept, f)) in stats.per_setup.iter().enumerate() {
+        lines.push(format!(
+            "set-up {i} kept {kept} sub-windows: qps {:.1}, p50 {:.4} ms, p99 {:.3} ms over {} reads",
+            f.qps,
+            ms(f.p50_ns),
+            ms(f.p99_ns),
+            f.reads
+        ));
+    }
     let error_rate = failed as f64 / attempted.max(1) as f64;
     let mut extra = vec![metric("error_rate", error_rate, "ratio")];
     if args.workload == Workload::Ingest {
@@ -276,8 +276,15 @@ fn run(args: &Args, work: &std::path::Path) -> Result<Report, String> {
     }
     for (i, t) in setup_times.iter().enumerate() {
         lines.push(format!(
-            "setup {i}: lake {:.3}s catalog {:.3}s joint {:.3}s serve {:.4}s warmup {:.3}s total {:.3}s",
-            t.lake, t.catalog, t.joint, t.serve, t.warmup, t.total
+            "setup {i}: lake {:.3}s catalog {:.3}s joint {:.3}s serve {:.4}s warmup {:.3}s total {:.3}s \
+             (host CPU steal {:.1}%)",
+            t.lake,
+            t.catalog,
+            t.joint,
+            t.serve,
+            t.warmup,
+            t.total,
+            t.steal * 100.0
         ));
     }
     Ok(Report {
