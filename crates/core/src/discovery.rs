@@ -1297,6 +1297,68 @@ mod tests {
         Cmdl::build(lake, CmdlConfig::fast())
     }
 
+    /// Assert every profile's `distinct_values` is strictly increasing, the
+    /// precondition of the join, union and PK-FK overlap kernels.
+    fn assert_values_sorted(cmdl: &Cmdl, stage: &str) {
+        let mut columns = 0;
+        for profile in cmdl.profiled.profiles.values() {
+            assert!(
+                cmdl_sketch::is_strictly_increasing(&profile.distinct_values),
+                "{stage}: {} values not sorted and distinct",
+                profile.qualified_name
+            );
+            columns += usize::from(profile.kind == DeKind::Column);
+        }
+        assert!(columns > 0, "{stage}: no column profiles");
+    }
+
+    #[test]
+    fn value_lists_stay_sorted_through_build_ingest_and_reopen() {
+        let source = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
+        assert_values_sorted(&Cmdl::build(source.clone(), CmdlConfig::fast()), "build");
+
+        let dir = std::env::temp_dir().join(format!(
+            "cmdl-discovery-test-{}-sorted-values",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cmdl = Cmdl::open(&dir, CmdlConfig::fast(), || source).unwrap();
+        // Unsorted input with duplicates, mixed case and a two-byte letter.
+        let codes = [
+            "zeta", "alpha", "Zeta", "alpha", "émile", "beta", "Émile", "beta",
+        ];
+        let table = Table::new(
+            "Unsorted_Codes",
+            vec![cmdl_datalake::Column::from_texts("Code", codes)],
+        );
+        cmdl.ingest_table(table).unwrap();
+        assert_values_sorted(&cmdl, "ingest_table");
+        let id = cmdl
+            .profiled
+            .lake
+            .column_id_by_name("Unsorted_Codes", "Code")
+            .unwrap();
+        assert_eq!(
+            cmdl.profiled.profile(id).unwrap().distinct_values,
+            ["Zeta", "alpha", "beta", "zeta", "Émile", "émile"]
+        );
+        cmdl.checkpoint().unwrap();
+        drop(cmdl);
+
+        let reopened = Cmdl::open(&dir, CmdlConfig::fast(), || {
+            panic!("the checkpointed segment must load")
+        })
+        .unwrap();
+        assert!(matches!(
+            reopened.recovery_report(),
+            Some(RecoveryReport::Loaded { replayed: 0, .. })
+        ));
+        assert!(reopened.profiled.lake.table("Unsorted_Codes").is_some());
+        assert_values_sorted(&reopened, "open");
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn build_profiles_and_indexes() {
         let cmdl = system();

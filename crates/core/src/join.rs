@@ -10,13 +10,18 @@
 //!   the PK column, the PK column must be key-like (cardinality ≈ 1), and
 //!   the two columns should have similar names; numeric key pairs use the
 //!   numeric-overlap similarity as in Aurum.
+//!
+//! Both are exact. A column pair's overlap comes from one merge of the two
+//! sorted distinct value lists ([`sorted_containments`]); the PK-FK sweep
+//! counts every FK column's overlap with all PK candidates at once through
+//! a value → PK postings map (the JOSIE approach, Zhu et al. SIGMOD 2019).
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use cmdl_datalake::{DeId, DeKind};
-use cmdl_sketch::{exact_containment, numeric_overlap};
+use cmdl_sketch::{containment_ratio, numeric_overlap, sorted_containments};
 use cmdl_text::strsim::name_similarity;
 
 use crate::config::CmdlConfig;
@@ -57,9 +62,9 @@ impl<'a> JoinDiscovery<'a> {
 
     /// Bidirectional containment-based join score between two column
     /// profiles: `max(containment(a ⊂ b), containment(b ⊂ a))`, computed
-    /// exactly on the distinct value sets (columns are profiled with their
-    /// distinct values, so this is cheap), with numeric columns falling back
-    /// to the numeric range-overlap measure.
+    /// exactly by one linear merge of the two sorted distinct value lists
+    /// (see [`DeProfile::distinct_values`]), with numeric columns falling
+    /// back to the numeric range-overlap measure.
     pub fn join_score(&self, a: &DeProfile, b: &DeProfile) -> f64 {
         if a.tags.numeric && b.tags.numeric {
             return match (&a.numeric, &b.numeric) {
@@ -70,8 +75,7 @@ impl<'a> JoinDiscovery<'a> {
         if a.tags.numeric != b.tags.numeric {
             return 0.0;
         }
-        let c_ab = exact_containment(&a.distinct_values, &b.distinct_values);
-        let c_ba = exact_containment(&b.distinct_values, &a.distinct_values);
+        let (c_ab, c_ba) = sorted_containments(&a.distinct_values, &b.distinct_values);
         c_ab.max(c_ba)
     }
 
@@ -227,6 +231,9 @@ impl<'a> JoinDiscovery<'a> {
 /// (qualified names are unique across live tables), so the result is
 /// independent of the candidate ordering — a partitioned gather reproduces
 /// the single-catalog links bit for bit.
+///
+/// Each (PK, FK) pair is visited once. Textual containment is the exact
+/// overlap count from `text_overlaps` over the FK column's size.
 pub fn pkfk_links_over(
     columns: &[&DeProfile],
     config: &CmdlConfig,
@@ -245,10 +252,10 @@ pub fn pkfk_links_over(
         .filter(|p| p.tags.join_candidate)
         .collect();
 
+    let overlaps = text_overlaps(&pk_candidates, &fk_candidates);
     let mut links = Vec::new();
-    let mut seen: HashSet<(DeId, DeId)> = HashSet::new();
-    for pk in &pk_candidates {
-        for fk in &fk_candidates {
+    for (p, pk) in pk_candidates.iter().enumerate() {
+        for (f, fk) in fk_candidates.iter().enumerate() {
             if pk.id == fk.id || pk.table_name == fk.table_name {
                 continue;
             }
@@ -267,7 +274,8 @@ pub fn pkfk_links_over(
                     _ => 0.0,
                 }
             } else {
-                exact_containment(&fk.distinct_values, &pk.distinct_values)
+                let overlap = overlaps[f * pk_candidates.len() + p] as usize;
+                containment_ratio(overlap, fk.distinct_values.len())
             };
             if containment < config.pkfk_containment {
                 continue;
@@ -275,9 +283,6 @@ pub fn pkfk_links_over(
             let name_sim = name_similarity(&pk.name, &fk.name)
                 .max(name_similarity(&pk.qualified_name, &fk.qualified_name));
             if name_sim < config.pkfk_name_similarity {
-                continue;
-            }
-            if !seen.insert((pk.id, fk.id)) {
                 continue;
             }
             links.push(PkFkLink {
@@ -304,6 +309,40 @@ pub fn pkfk_links_over(
             .then_with(|| a.fk_name.cmp(&b.fk_name))
     });
     links
+}
+
+/// `|FK ∩ PK|` of every (FK, PK) pair of textual candidates, row-major by
+/// FK (numeric columns keep 0: their containment is the range overlap).
+/// A value → PK postings map is built once; each FK column then adds one to
+/// every PK sharing each of its values, in one pass over its own values.
+/// Exact because every `distinct_values` list is duplicate-free.
+fn text_overlaps(pks: &[&DeProfile], fks: &[&DeProfile]) -> Vec<u32> {
+    let mut postings: HashMap<&str, Vec<u32>> = HashMap::new();
+    for (p, pk) in pks.iter().enumerate().filter(|(_, pk)| !pk.tags.numeric) {
+        debug_assert!(cmdl_sketch::is_strictly_increasing(&pk.distinct_values));
+        for value in &pk.distinct_values {
+            postings.entry(value.as_str()).or_default().push(p as u32);
+        }
+    }
+    let mut overlaps = vec![0u32; pks.len() * fks.len()];
+    // Nothing to count (this also covers `pks` empty, a chunk size of 0).
+    if postings.is_empty() {
+        return overlaps;
+    }
+    for (row, fk) in overlaps.chunks_mut(pks.len()).zip(fks) {
+        if fk.tags.numeric {
+            continue;
+        }
+        debug_assert!(cmdl_sketch::is_strictly_increasing(&fk.distinct_values));
+        for value in &fk.distinct_values {
+            if let Some(sharing) = postings.get(value.as_str()) {
+                for &p in sharing {
+                    row[p as usize] += 1;
+                }
+            }
+        }
+    }
+    overlaps
 }
 
 /// Sort scored join candidates by score descending, ties by ascending id —

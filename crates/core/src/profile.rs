@@ -72,7 +72,11 @@ pub struct DeProfile {
     /// (reference-counted so indexes share it with the profile instead of
     /// deep-cloning it during catalog construction).
     pub minhash: Arc<MinHash>,
-    /// Distinct textual values (columns) or distinct tokens (documents).
+    /// Distinct textual values (columns) or distinct tokens (documents),
+    /// in strictly increasing byte order with no duplicates: columns take
+    /// them from `Column::distinct_texts`'s `BTreeSet`, documents from the
+    /// `BagOfWords` `BTreeMap`, and segments store the list as is. The
+    /// join, union and PK-FK overlap kernels rely on this order.
     pub distinct_values: Vec<String>,
     /// Solo embeddings (content + metadata).
     pub solo: SoloEmbedding,

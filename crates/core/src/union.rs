@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use cmdl_datalake::DeId;
 use cmdl_index::ann::cosine_similarity;
-use cmdl_sketch::{exact_containment, numeric_overlap};
+use cmdl_sketch::{numeric_overlap, sorted_containments};
 use cmdl_text::strsim::name_similarity;
 
 use crate::config::CmdlConfig;
@@ -91,8 +91,7 @@ impl<'a> UnionDiscovery<'a> {
         let containment = if a.tags.numeric || b.tags.numeric {
             0.0
         } else {
-            let ab = exact_containment(&a.distinct_values, &b.distinct_values);
-            let ba = exact_containment(&b.distinct_values, &a.distinct_values);
+            let (ab, ba) = sorted_containments(&a.distinct_values, &b.distinct_values);
             ab.max(ba)
         };
         let numeric = match (&a.numeric, &b.numeric) {
@@ -166,7 +165,7 @@ impl<'a> UnionDiscovery<'a> {
                 let Some(cprofile) = self.profiled.profile(ccol) else {
                     continue;
                 };
-                let Some(ctable) = cprofile.table_name.clone() else {
+                let Some(ctable) = cprofile.table_name.as_deref() else {
                     continue;
                 };
                 if ctable == query_table {
@@ -175,7 +174,7 @@ impl<'a> UnionDiscovery<'a> {
                 let score = self.signals(qprofile, cprofile).by_name(measure);
                 if score > 0.15 {
                     candidates
-                        .entry(ctable)
+                        .entry(ctable.to_string())
                         .or_default()
                         .push((qcol, ccol, score));
                 }

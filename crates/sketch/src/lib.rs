@@ -12,8 +12,9 @@
 //!   CMDL relies on for cross-modality and PK-FK discovery.
 //! * [`numeric`] — numeric column statistics (min/max/distinct/domain) and
 //!   the range-overlap similarity used for numeric columns.
-//! * [`similarity`] — exact set similarity helpers shared by tests and
-//!   brute-force ground-truth generation.
+//! * [`similarity`] — exact set similarity: the sorted-merge containment
+//!   kernel of the structured discovery queries, and hash-set helpers for
+//!   baselines, tests and brute-force ground-truth generation.
 
 pub mod lsh;
 pub mod lshensemble;
@@ -25,4 +26,7 @@ pub use lsh::LshIndex;
 pub use lshensemble::{LshEnsemble, LshEnsembleConfig};
 pub use minhash::{MinHash, MinHasher, SketchScheme};
 pub use numeric::{numeric_overlap, NumericProfile};
-pub use similarity::{exact_containment, exact_jaccard};
+pub use similarity::{
+    containment_ratio, exact_containment, exact_jaccard, is_strictly_increasing,
+    sorted_containments,
+};

@@ -1,9 +1,14 @@
 //! Exact set-similarity helpers.
 //!
-//! These are used for brute-force ground-truth generation (paper Table 2:
-//! "Brute force" ground truth for Benchmarks 2B/2C) and for verifying the
-//! sketch-based estimators in tests.
+//! [`sorted_containments`] is the hot-path kernel: the structured discovery
+//! queries (syntactic joins, unionability) score column pairs with it, by
+//! one linear merge over two already-sorted distinct value lists.
+//! [`exact_jaccard`] and [`exact_containment`] take arbitrary slices and
+//! build hash sets; they serve the baselines, brute-force ground truth
+//! (paper Table 2: "Brute force" ground truth for Benchmarks 2B/2C) and the
+//! reference side of the parity tests.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// Exact Jaccard similarity `|A ∩ B| / |A ∪ B|` of two string sets.
@@ -33,6 +38,59 @@ pub fn exact_containment<S: AsRef<str> + Eq + std::hash::Hash>(a: &[S], b: &[S])
     inter as f64 / sa.len() as f64
 }
 
+/// `|A ∩ B|` of two strictly increasing (sorted, duplicate-free) string
+/// slices, by one linear merge.
+fn sorted_intersection_len<S: AsRef<str>>(a: &[S], b: &[S]) -> usize {
+    debug_assert!(
+        is_strictly_increasing(a),
+        "merge input `a` is not sorted and distinct"
+    );
+    debug_assert!(
+        is_strictly_increasing(b),
+        "merge input `b` is not sorted and distinct"
+    );
+    let (mut i, mut j, mut inter) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].as_ref().cmp(b[j].as_ref()) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    inter
+}
+
+/// Both set containments `(|A ∩ B| / |A|, |A ∩ B| / |B|)` of two strictly
+/// increasing string slices from one merge. Equal bit for bit to
+/// `(exact_containment(a, b), exact_containment(b, a))`: with no duplicates
+/// the slice lengths are the set sizes, and an empty side gives 0.
+pub fn sorted_containments<S: AsRef<str>>(a: &[S], b: &[S]) -> (f64, f64) {
+    let inter = sorted_intersection_len(a, b);
+    (
+        containment_ratio(inter, a.len()),
+        containment_ratio(inter, b.len()),
+    )
+}
+
+/// `inter / len`, or 0 for an empty set — the division `exact_containment`
+/// performs.
+pub fn containment_ratio(inter: usize, len: usize) -> f64 {
+    if len == 0 {
+        0.0
+    } else {
+        inter as f64 / len as f64
+    }
+}
+
+/// Is every element strictly greater than its predecessor (byte order)?
+pub fn is_strictly_increasing<S: AsRef<str>>(values: &[S]) -> bool {
+    values.windows(2).all(|w| w[0].as_ref() < w[1].as_ref())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,6 +115,16 @@ mod tests {
         let a = vec!["a", "a", "b"];
         let b = vec!["a", "b", "b"];
         assert!((exact_jaccard(&a, &b) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn strictly_increasing_rejects_duplicates_and_disorder() {
+        assert!(is_strictly_increasing(&["a", "b", "c"]));
+        assert!(is_strictly_increasing::<&str>(&[]));
+        assert!(!is_strictly_increasing(&["a", "a"]));
+        assert!(!is_strictly_increasing(&["b", "a"]));
+        // Byte order: uppercase sorts before lowercase.
+        assert!(is_strictly_increasing(&["Z", "a"]));
     }
 
     #[test]

@@ -9,12 +9,24 @@
 //!   path on the pharma lake (set `HOTPATH_SCALE=bench` for the
 //!   benchmark-scale lake; the default is the fast tiny lake so plain
 //!   `cargo test` stays quick).
+//! * The sorted-merge join and union scores and the postings-based PK-FK
+//!   sweep == test-local reference versions of the pairwise formulas built
+//!   on `exact_containment`, through `execute`, on the pharma lake (same
+//!   scale switch) and the tiny UK-open lake.
+
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use cmdl::core::{Cmdl, CmdlConfig, QueryBuilder};
-use cmdl::datalake::synth::{self, PharmaConfig};
+use cmdl::core::{
+    CatalogSnapshot, Cmdl, CmdlConfig, DeProfile, PkFkLink, QueryBuilder, SignalWeights,
+};
+use cmdl::datalake::synth::{self, PharmaConfig, UkOpenConfig};
+use cmdl::datalake::{DataLake, DeId};
+use cmdl::index::ann::cosine_similarity;
 use cmdl::index::{Bm25Params, InvertedIndex, ScoringFunction};
+use cmdl::sketch::{exact_containment, numeric_overlap};
+use cmdl::text::strsim::name_similarity;
 use cmdl::text::BagOfWords;
 
 /// Turn term indexes into a bag of words over the shared tiny vocabulary.
@@ -162,4 +174,388 @@ fn quantized_ann_matches_exact_on_pharma_lake() {
         let b = snap_quant.execute(&query).expect("quantized");
         assert_eq!(a.hits, b.hits, "cross-modal hits diverged for doc {doc}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Structured kernels: reference parity.
+//
+// The references below are the pairwise formulas as they stood before the
+// merge and postings kernels: every column pair scored on its own, with
+// containment from `exact_containment`'s hash sets. Ranking, tie-breaks and
+// the greedy union matching are restated here so that only the kernels
+// differ between the two sides.
+// ---------------------------------------------------------------------------
+
+/// Pairwise join score: `max` of the two hash-set containments, numeric
+/// columns by range overlap.
+fn reference_join_score(a: &DeProfile, b: &DeProfile) -> f64 {
+    if a.tags.numeric && b.tags.numeric {
+        return match (&a.numeric, &b.numeric) {
+            (Some(na), Some(nb)) => numeric_overlap(na, nb),
+            _ => 0.0,
+        };
+    }
+    if a.tags.numeric != b.tags.numeric {
+        return 0.0;
+    }
+    exact_containment(&a.distinct_values, &b.distinct_values)
+        .max(exact_containment(&b.distinct_values, &a.distinct_values))
+}
+
+/// Every local join partner of `query` with a positive score, unsorted.
+fn reference_join_partners(snap: &CatalogSnapshot, query: &DeProfile) -> Vec<(DeId, f64)> {
+    if !query.tags.join_candidate {
+        return Vec::new();
+    }
+    let profiled = &snap.profiled;
+    profiled
+        .column_ids
+        .iter()
+        .filter_map(|&id| {
+            let candidate = profiled.profile(id)?;
+            if id == query.id
+                || !candidate.tags.join_candidate
+                || candidate.table_name == query.table_name
+            {
+                return None;
+            }
+            let score = reference_join_score(query, candidate);
+            (score > 0.0).then_some((id, score))
+        })
+        .collect()
+}
+
+fn reference_joinable_column(
+    snap: &CatalogSnapshot,
+    column: DeId,
+    top_k: usize,
+) -> Vec<(DeId, u64)> {
+    let query = snap.profiled.profile(column).expect("query column");
+    let mut scored = reference_join_partners(snap, query);
+    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+    scored.truncate(top_k);
+    scored
+        .into_iter()
+        .map(|(id, s)| (id, s.to_bits()))
+        .collect()
+}
+
+fn reference_joinable_table(
+    snap: &CatalogSnapshot,
+    table: &str,
+    top_k: usize,
+) -> Vec<(String, u64)> {
+    let profiled = &snap.profiled;
+    let mut best: HashMap<String, f64> = HashMap::new();
+    for id in profiled.columns_of_table(table) {
+        let query = profiled.profile(id).unwrap();
+        for (other, score) in reference_join_partners(snap, query) {
+            let other_table = profiled.profile(other).unwrap().table_name.clone().unwrap();
+            let entry = best.entry(other_table).or_insert(0.0);
+            if score > *entry {
+                *entry = score;
+            }
+        }
+    }
+    let mut out: Vec<(String, f64)> = best.into_iter().collect();
+    out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+    out.truncate(top_k);
+    out.into_iter().map(|(t, s)| (t, s.to_bits())).collect()
+}
+
+/// The union ensemble of one column pair, containment from hash sets.
+fn reference_union_score(a: &DeProfile, b: &DeProfile) -> f64 {
+    let name = name_similarity(&a.name, &b.name);
+    let containment = if a.tags.numeric || b.tags.numeric {
+        0.0
+    } else {
+        exact_containment(&a.distinct_values, &b.distinct_values)
+            .max(exact_containment(&b.distinct_values, &a.distinct_values))
+    };
+    let numeric = match (&a.numeric, &b.numeric) {
+        (Some(na), Some(nb)) => numeric_overlap(na, nb),
+        _ => 0.0,
+    };
+    let semantic = cosine_similarity(&a.solo.content, &b.solo.content).max(0.0);
+    let values = [name, containment, numeric, semantic];
+    let max = values.iter().cloned().fold(0.0f64, f64::max);
+    let avg = values.iter().sum::<f64>() / values.len() as f64;
+    0.7 * max + 0.3 * avg
+}
+
+/// `(table, score bits, matched column ids)` of the top unionable tables.
+type UnionRow = (String, u64, Vec<(DeId, DeId)>);
+
+fn reference_unionable(snap: &CatalogSnapshot, table: &str, top_k: usize) -> Vec<UnionRow> {
+    let profiled = &snap.profiled;
+    let query = profiled.columns_of_table(table);
+    let mut candidates: HashMap<String, Vec<(DeId, DeId, f64)>> = HashMap::new();
+    for &qcol in &query {
+        let qprofile = profiled.profile(qcol).unwrap();
+        for &ccol in &profiled.column_ids {
+            let cprofile = profiled.profile(ccol).unwrap();
+            let ctable = cprofile.table_name.clone().unwrap();
+            if ctable == table {
+                continue;
+            }
+            let score = reference_union_score(qprofile, cprofile);
+            if score > 0.15 {
+                candidates
+                    .entry(ctable)
+                    .or_default()
+                    .push((qcol, ccol, score));
+            }
+        }
+    }
+    let mut out: Vec<UnionRow> = candidates
+        .into_iter()
+        .map(|(name, mut pairs)| {
+            // Greedy maximal matching: heaviest pair first (stable on ties).
+            pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
+            let (mut left, mut right) = (HashSet::new(), HashSet::new());
+            let mut matched = Vec::new();
+            for (l, r, w) in pairs {
+                if left.contains(&l) || right.contains(&r) {
+                    continue;
+                }
+                left.insert(l);
+                right.insert(r);
+                matched.push((l, r, w));
+            }
+            let weight: f64 = matched.iter().map(|(_, _, w)| w).sum();
+            let mapping = matched.into_iter().map(|(l, r, _)| (l, r)).collect();
+            let denom = query.len().max(profiled.columns_of_table(&name).len()) as f64;
+            (name, (weight / denom).clamp(0.0, 1.0).to_bits(), mapping)
+        })
+        .collect();
+    let score = |row: &UnionRow| f64::from_bits(row.1);
+    out.sort_by(|a, b| {
+        score(b)
+            .partial_cmp(&score(a))
+            .unwrap()
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    out.truncate(top_k);
+    out
+}
+
+/// The pairwise PK-FK sweep: every (PK, FK) pair scored on its own, textual
+/// containment from hash sets.
+fn reference_pkfk(
+    snap: &CatalogSnapshot,
+    config: &CmdlConfig,
+    weights: (f64, f64, f64),
+) -> Vec<PkFkLink> {
+    let (w_containment, w_name, w_uniqueness) = weights;
+    let profiled = &snap.profiled;
+    let columns: Vec<&DeProfile> = profiled
+        .column_ids
+        .iter()
+        .filter_map(|id| profiled.profile(*id))
+        .collect();
+    let mut links = Vec::new();
+    for pk in columns
+        .iter()
+        .filter(|p| p.tags.key_like && p.tags.join_candidate)
+    {
+        for fk in columns.iter().filter(|p| p.tags.join_candidate) {
+            if pk.id == fk.id
+                || pk.table_name == fk.table_name
+                || pk.tags.numeric != fk.tags.numeric
+            {
+                continue;
+            }
+            let containment = if pk.tags.numeric {
+                match (&fk.numeric, &pk.numeric) {
+                    (Some(nf), Some(np)) if nf.range_contained_in(np) => 1.0,
+                    (Some(nf), Some(np)) => numeric_overlap(nf, np),
+                    _ => 0.0,
+                }
+            } else {
+                exact_containment(&fk.distinct_values, &pk.distinct_values)
+            };
+            if containment < config.pkfk_containment {
+                continue;
+            }
+            let name_sim = name_similarity(&pk.name, &fk.name)
+                .max(name_similarity(&pk.qualified_name, &fk.qualified_name));
+            if name_sim < config.pkfk_name_similarity {
+                continue;
+            }
+            links.push(PkFkLink {
+                pk: pk.id,
+                fk: fk.id,
+                pk_name: pk.qualified_name.clone(),
+                fk_name: fk.qualified_name.clone(),
+                score: w_containment * containment
+                    + w_name * name_sim
+                    + w_uniqueness * pk.uniqueness,
+                containment,
+                name_sim,
+                uniqueness: pk.uniqueness,
+            });
+        }
+    }
+    links.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap()
+            .then_with(|| a.pk_name.cmp(&b.pk_name))
+            .then_with(|| a.fk_name.cmp(&b.fk_name))
+    });
+    links
+}
+
+/// Bit-level identity of a PK-FK link.
+fn link_bits(link: &PkFkLink) -> (DeId, DeId, u64, u64, u64, u64) {
+    (
+        link.pk,
+        link.fk,
+        link.score.to_bits(),
+        link.containment.to_bits(),
+        link.name_sim.to_bits(),
+        link.uniqueness.to_bits(),
+    )
+}
+
+/// Deep enough to return every hit of every structured query on these lakes.
+const ALL: usize = 100_000;
+
+/// Assert `execute` matches the references for every table's joinable and
+/// unionable query, every join-candidate column's joinable-column query, and
+/// PK-FK under default and re-weighted triples. Returns the number of
+/// non-empty result lists compared.
+fn assert_structured_parity(lake: DataLake, config: CmdlConfig) -> usize {
+    let cmdl = Cmdl::build(lake, config.clone());
+    let snap = cmdl.snapshot();
+    let mut compared = 0usize;
+    let tables: Vec<String> = snap
+        .profiled
+        .lake
+        .tables()
+        .iter()
+        .map(|t| t.name.clone())
+        .filter(|name| snap.profiled.lake.table(name).is_some())
+        .collect();
+    for table in &tables {
+        let hits = snap
+            .execute(&QueryBuilder::joinable(table.as_str()).top_k(ALL).build())
+            .unwrap()
+            .hits;
+        let got: Vec<(String, u64)> = hits
+            .iter()
+            .map(|h| (h.label.clone(), h.score.to_bits()))
+            .collect();
+        assert_eq!(
+            got,
+            reference_joinable_table(&snap, table, ALL),
+            "joinable {table}"
+        );
+        compared += usize::from(!got.is_empty());
+
+        let hits = snap
+            .execute(&QueryBuilder::unionable(table.as_str()).top_k(ALL).build())
+            .unwrap()
+            .hits;
+        let got: Vec<UnionRow> = hits
+            .iter()
+            .map(|h| {
+                let union = h.union.as_ref().expect("unionable hit carries its mapping");
+                (h.label.clone(), h.score.to_bits(), union.id_mapping.clone())
+            })
+            .collect();
+        assert_eq!(
+            got,
+            reference_unionable(&snap, table, ALL),
+            "unionable {table}"
+        );
+        compared += usize::from(!got.is_empty());
+
+        for id in snap.profiled.columns_of_table(table) {
+            let profile = snap.profiled.profile(id).unwrap();
+            if !profile.tags.join_candidate {
+                continue;
+            }
+            let query = QueryBuilder::joinable_column(table.as_str(), profile.name.as_str())
+                .top_k(ALL)
+                .build();
+            let got: Vec<(DeId, u64)> = snap
+                .execute(&query)
+                .unwrap()
+                .hits
+                .iter()
+                .map(|h| (h.element.expect("column hit"), h.score.to_bits()))
+                .collect();
+            assert_eq!(
+                got,
+                reference_joinable_column(&snap, id, ALL),
+                "joinable column {}",
+                profile.qualified_name
+            );
+            compared += usize::from(!got.is_empty());
+        }
+    }
+
+    let defaults = (
+        config.pkfk_containment_weight,
+        config.pkfk_name_weight,
+        config.pkfk_uniqueness_weight,
+    );
+    for (triple, weights) in [
+        (defaults, SignalWeights::default()),
+        (
+            (0.2, 0.7, 0.1),
+            SignalWeights {
+                containment: Some(0.2),
+                name: Some(0.7),
+                uniqueness: Some(0.1),
+                ..Default::default()
+            },
+        ),
+        (
+            (1.0, 0.0, 0.0),
+            SignalWeights {
+                containment: Some(1.0),
+                name: Some(0.0),
+                uniqueness: Some(0.0),
+                ..Default::default()
+            },
+        ),
+    ] {
+        let hits = snap
+            .execute(&QueryBuilder::pkfk().weights(weights).top_k(ALL).build())
+            .unwrap()
+            .hits;
+        let got: Vec<_> = hits
+            .iter()
+            .map(|h| link_bits(h.pkfk.as_ref().expect("pkfk hit carries its link")))
+            .collect();
+        let want: Vec<_> = reference_pkfk(&snap, &config, triple)
+            .iter()
+            .map(link_bits)
+            .collect();
+        assert_eq!(got, want, "pkfk weights {triple:?}");
+        compared += usize::from(!got.is_empty());
+    }
+    compared
+}
+
+#[test]
+fn structured_kernels_match_pairwise_reference_on_pharma_lake() {
+    let lake = synth::pharma::generate(&pharma_config()).lake;
+    let compared = assert_structured_parity(lake, CmdlConfig::fast());
+    assert!(
+        compared > 20,
+        "expected a real workload, compared {compared} lists"
+    );
+}
+
+#[test]
+fn structured_kernels_match_pairwise_reference_on_ukopen_lake() {
+    let lake = synth::ukopen::generate(&UkOpenConfig::tiny()).lake;
+    let compared = assert_structured_parity(lake, CmdlConfig::fast());
+    assert!(
+        compared > 10,
+        "expected a real workload, compared {compared} lists"
+    );
 }

@@ -12,7 +12,7 @@ use cmdl::datalake::{Column, DataLake, Document, Table};
 use cmdl::eval::{precision_at_k, r_precision, recall_at_k};
 use cmdl::index::{InvertedIndex, ScoringFunction, TopK};
 use cmdl::nn::{triplet_loss, Matrix, TripletBatch};
-use cmdl::sketch::{exact_containment, exact_jaccard, MinHasher};
+use cmdl::sketch::{exact_containment, exact_jaccard, sorted_containments, MinHasher};
 use cmdl::text::{BagOfWords, Pipeline, PipelineConfig};
 
 fn word_vec() -> impl Strategy<Value = Vec<String>> {
@@ -64,6 +64,30 @@ proptest! {
         prop_assert!((c - 1.0).abs() < 1e-12);
         let any = exact_containment(&words, &extra);
         prop_assert!((0.0..=1.0).contains(&any));
+    }
+
+    /// The sorted-merge kernel's two containments equal `exact_containment`
+    /// in both directions, bit for bit, on sorted distinct sets: random
+    /// pairs (either side may be empty), equal sets, a subset against its
+    /// superset, and disjoint sets. Short words over a small alphabet (with
+    /// a two-byte letter and the empty string) make overlaps common.
+    #[test]
+    fn sorted_containments_match_exact(
+        a in prop::collection::vec("[abcZé]{0,3}", 0..30),
+        b in prop::collection::vec("[abcZé]{0,3}", 0..30),
+    ) {
+        let sorted = |words: &[String]| -> Vec<String> {
+            words.iter().cloned().collect::<BTreeSet<String>>().into_iter().collect()
+        };
+        let (a, b) = (sorted(&a), sorted(&b));
+        let subset: Vec<String> = a.iter().step_by(2).cloned().collect();
+        let disjoint: Vec<String> = b.iter().filter(|w| a.binary_search(w).is_err()).cloned().collect();
+        let empty: Vec<String> = Vec::new();
+        for (x, y) in [(&a, &b), (&a, &a), (&subset, &a), (&a, &disjoint), (&empty, &a), (&empty, &empty)] {
+            let (xy, yx) = sorted_containments(x, y);
+            prop_assert_eq!(xy.to_bits(), exact_containment(x, y).to_bits());
+            prop_assert_eq!(yx.to_bits(), exact_containment(y, x).to_bits());
+        }
     }
 
     /// The NLP pipeline never panics and produces only non-empty lowercase
