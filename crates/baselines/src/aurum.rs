@@ -68,7 +68,7 @@ impl<'a> Aurum<'a> {
         };
         let mut scored: Vec<(DeId, f64)> = self
             .profiled
-            .column_ids
+            .column_ids()
             .iter()
             .filter_map(|&id| {
                 if id == column {
@@ -90,14 +90,14 @@ impl<'a> Aurum<'a> {
     /// PK-FK discovery with Jaccard similarity as the inclusion measure.
     pub fn pkfk_links(&self) -> Vec<AurumPkFk> {
         let mut links = Vec::new();
-        for &pk_id in &self.profiled.column_ids {
+        for &pk_id in self.profiled.column_ids() {
             let Some(pk) = self.profiled.profile(pk_id) else {
                 continue;
             };
             if !pk.tags.key_like || !pk.tags.join_candidate {
                 continue;
             }
-            for &fk_id in &self.profiled.column_ids {
+            for &fk_id in self.profiled.column_ids() {
                 if pk_id == fk_id {
                     continue;
                 }
@@ -161,7 +161,7 @@ impl<'a> Aurum<'a> {
             let Some(q) = self.profiled.profile(qcol) else {
                 continue;
             };
-            for &ccol in &self.profiled.column_ids {
+            for &ccol in self.profiled.column_ids() {
                 let Some(c) = self.profiled.profile(ccol) else {
                     continue;
                 };

@@ -35,7 +35,7 @@ impl ContainmentSearch {
             ..Default::default()
         });
         let mut column_tables = HashMap::new();
-        for &id in &profiled.column_ids {
+        for &id in profiled.column_ids() {
             let Some(profile) = profiled.profile(id) else {
                 continue;
             };

@@ -115,7 +115,7 @@ impl<'a> D3l<'a> {
         };
         let mut scored: Vec<(DeId, f64)> = self
             .profiled
-            .column_ids
+            .column_ids()
             .iter()
             .filter_map(|&id| {
                 if id == column {
@@ -151,7 +151,7 @@ impl<'a> D3l<'a> {
             // Candidate generation: most similar columns per signal.
             let mut candidates: Vec<(DeId, D3lDistances)> = self
                 .profiled
-                .column_ids
+                .column_ids()
                 .iter()
                 .filter_map(|&id| {
                     if id == qcol {

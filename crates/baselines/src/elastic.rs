@@ -57,7 +57,7 @@ impl ElasticBaseline {
     pub fn build(profiled: &ProfiledLake, variant: ElasticVariant) -> Self {
         let mut index = InvertedIndex::new();
         let mut column_tables = HashMap::new();
-        for &id in &profiled.column_ids {
+        for &id in profiled.column_ids() {
             let Some(profile) = profiled.profile(id) else {
                 continue;
             };

@@ -57,7 +57,7 @@ impl EntityMatcher {
     fn build_inner(profiled: &ProfiledLake, metric: EntityMetric, fine_tuned: bool) -> Self {
         let mut domain_vocabulary = HashSet::new();
         if fine_tuned {
-            for &id in &profiled.column_ids {
+            for &id in profiled.column_ids() {
                 let Some(profile) = profiled.profile(id) else {
                     continue;
                 };

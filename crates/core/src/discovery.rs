@@ -860,8 +860,7 @@ impl Cmdl {
                 RelationType::BelongsTo,
                 1.0,
             );
-            profiled.column_ids.push(profile.id);
-            profiled.profiles.insert(profile.id, profile);
+            profiled.insert_column(profile);
         }
         self.generation += 1;
         self.maybe_compact();
@@ -950,15 +949,13 @@ impl Cmdl {
             .ok_or_else(|| CmdlError::Internal(format!("table {name} was not live on removal")))?;
         let indexes = Arc::make_mut(&mut self.indexes);
         let ekg = Arc::make_mut(&mut self.ekg);
-        let removed_set: HashSet<DeId> = removed.iter().copied().collect();
+        for profile in profiled.remove_columns(&removed) {
+            indexes.remove_element(&profile);
+        }
         for id in &removed {
-            if let Some(profile) = profiled.profiles.remove(id) {
-                indexes.remove_element(&profile);
-            }
             ekg.remove_node(NodeId::De(*id));
         }
         ekg.remove_node(NodeId::Table(table_idx));
-        profiled.column_ids.retain(|id| !removed_set.contains(id));
         self.generation += 1;
         self.maybe_compact();
         Ok(removed.len())
@@ -1261,7 +1258,7 @@ impl Cmdl {
         // BelongsTo edges between columns and their tables.
         let memberships: Vec<(DeId, usize)> = self
             .profiled
-            .column_ids
+            .column_ids()
             .iter()
             .filter_map(|&id| {
                 self.profiled
@@ -1356,6 +1353,94 @@ mod tests {
         assert!(reopened.profiled.lake.table("Unsorted_Codes").is_some());
         assert_values_sorted(&reopened, "open");
         drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Assert the maintained value index equals a fresh
+    /// `ValueIndex::build` over the same columns, as sets: each column's
+    /// values and each value's columns.
+    fn assert_index_matches_rebuild(cmdl: &Cmdl, stage: &str) {
+        let profiled = &cmdl.profiled;
+        let rebuilt = crate::value_index::ValueIndex::build(
+            profiled
+                .column_ids()
+                .iter()
+                .map(|id| profiled.profile(*id).expect("column profile")),
+        );
+        let (columns, values) = profiled.values().as_sets();
+        let (want_columns, want_values) = rebuilt.as_sets();
+        assert_eq!(columns, want_columns, "{stage}: column value sets");
+        assert_eq!(values, want_values, "{stage}: value column sets");
+        let live: Vec<DeId> = profiled
+            .lake
+            .column_ids()
+            .map(|(id, _)| id)
+            .filter(|id| profiled.profile(*id).is_some())
+            .collect();
+        assert_eq!(profiled.column_ids(), live, "{stage}: column order");
+    }
+
+    #[test]
+    fn value_index_maintenance_matches_a_rebuild() {
+        use rand::{Rng, SeedableRng};
+
+        let source = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
+        let donor = synth::pharma::generate(&synth::PharmaConfig {
+            seed: 0xD0_40,
+            ..synth::PharmaConfig::tiny()
+        })
+        .lake;
+        let dir = std::env::temp_dir().join(format!(
+            "cmdl-discovery-test-{}-value-index",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cmdl = Cmdl::open(&dir, CmdlConfig::fast(), || source).unwrap();
+        assert_index_matches_rebuild(&cmdl, "open");
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+        let (mut ingested, mut removed, mut reopened) = (0, 0, 0);
+        for step in 0..32 {
+            let stage = match rng.gen_range(0..5u32) {
+                0 | 1 => {
+                    let mut table = donor.tables()[step % donor.tables().len()].clone();
+                    table.name = format!("{}_{step}", table.name);
+                    cmdl.ingest_table(table).unwrap();
+                    ingested += 1;
+                    "ingest_table"
+                }
+                2 => {
+                    let live: Vec<String> = (0..cmdl.profiled.lake.tables().len())
+                        .filter(|&i| !cmdl.profiled.lake.is_table_removed(i))
+                        .map(|i| cmdl.profiled.lake.tables()[i].name.clone())
+                        .collect();
+                    let name = &live[rng.gen_range(0..live.len())];
+                    cmdl.remove_table(name).unwrap();
+                    removed += 1;
+                    "remove_table"
+                }
+                3 => {
+                    cmdl.compact();
+                    "compact"
+                }
+                _ => {
+                    // Reopen from the segment alone, or from the segment
+                    // plus a replayed WAL tail.
+                    if rng.gen_range(0..2u32) == 0 {
+                        cmdl.checkpoint().unwrap();
+                    }
+                    drop(cmdl);
+                    cmdl = Cmdl::open(&dir, CmdlConfig::fast(), || {
+                        panic!("the catalog directory must load")
+                    })
+                    .unwrap();
+                    reopened += 1;
+                    "reopen"
+                }
+            };
+            assert_index_matches_rebuild(&cmdl, &format!("step {step} ({stage})"));
+        }
+        assert!(ingested > 0 && removed > 0 && reopened > 0);
+        drop(cmdl);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1461,7 +1546,7 @@ mod tests {
     fn ingest_table_serves_queries_without_rebuild() {
         let mut cmdl = system();
         let gen0 = cmdl.generation();
-        let columns_before = cmdl.profiled.column_ids.len();
+        let columns_before = cmdl.profiled.column_ids().len();
         let edges_before = cmdl.ekg().num_edges();
         let idx = cmdl
             .ingest_table(cmdl_datalake::Table::new(
@@ -1490,7 +1575,7 @@ mod tests {
             Err(CmdlError::DuplicateTable(_))
         ));
         assert!(cmdl.generation() > gen0);
-        assert_eq!(cmdl.profiled.column_ids.len(), columns_before + 2);
+        assert_eq!(cmdl.profiled.column_ids().len(), columns_before + 2);
         assert!(
             cmdl.ekg().num_edges() > edges_before,
             "BelongsTo patched in"

@@ -35,7 +35,7 @@ fn embedding_eligible(profile: &DeProfile) -> bool {
 /// shapes and partition layouts are reproducible.
 fn ordered_profiles(profiled: &ProfiledLake) -> Vec<&DeProfile> {
     profiled
-        .column_ids
+        .column_ids()
         .iter()
         .chain(profiled.doc_ids.iter())
         .filter_map(|&id| profiled.profile(id))
@@ -434,7 +434,7 @@ impl IndexCatalog {
             .map(|(id, vector)| (id, Arc::new(vector)))
             .collect();
         let mut ann = new_joint_ann(config);
-        for &id in &profiled.column_ids {
+        for &id in profiled.column_ids() {
             let (Some(profile), Some(vector)) = (profiled.profile(id), embeddings.get(&id)) else {
                 continue;
             };

@@ -11,18 +11,21 @@
 //!   the two columns should have similar names; numeric key pairs use the
 //!   numeric-overlap similarity as in Aurum.
 //!
-//! Both are exact. A column pair's overlap comes from one merge of the two
-//! sorted distinct value lists ([`sorted_containments`]); the PK-FK sweep
-//! counts every FK column's overlap with all PK candidates at once through
-//! a value → PK postings map (the JOSIE approach, Zhu et al. SIGMOD 2019).
+//! Both are exact. Every scan counts a query column's overlap with every
+//! column of the lake in one probe of the lake's value postings index
+//! ([`ValueIndex::overlaps`](crate::value_index::ValueIndex::overlaps)) and
+//! reads each pair's count by column slot: once per query column for joins,
+//! once per PK candidate for the PK-FK sweep. A single pair
+//! ([`JoinDiscovery::join_score`]) is scored by one merge of the two sorted
+//! distinct value lists ([`sorted_containments`]).
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use cmdl_datalake::{DeId, DeKind};
-use cmdl_sketch::{containment_ratio, numeric_overlap, sorted_containments};
-use cmdl_text::strsim::name_similarity;
+use cmdl_sketch::{containment_ratio, numeric_overlap, overlap_containments, sorted_containments};
+use cmdl_text::strsim::name_similarity_of;
 
 use crate::config::CmdlConfig;
 use crate::profile::{DeProfile, ProfiledLake};
@@ -66,17 +69,9 @@ impl<'a> JoinDiscovery<'a> {
     /// (see [`DeProfile::distinct_values`]), with numeric columns falling
     /// back to the numeric range-overlap measure.
     pub fn join_score(&self, a: &DeProfile, b: &DeProfile) -> f64 {
-        if a.tags.numeric && b.tags.numeric {
-            return match (&a.numeric, &b.numeric) {
-                (Some(na), Some(nb)) => numeric_overlap(na, nb),
-                _ => 0.0,
-            };
-        }
-        if a.tags.numeric != b.tags.numeric {
-            return 0.0;
-        }
-        let (c_ab, c_ba) = sorted_containments(&a.distinct_values, &b.distinct_values);
-        c_ab.max(c_ba)
+        join_score_given(a, b, || {
+            sorted_containments(&a.distinct_values, &b.distinct_values)
+        })
     }
 
     /// Find the `top_k` columns (in other tables) joinable with the given
@@ -104,10 +99,12 @@ impl<'a> JoinDiscovery<'a> {
         if query.kind != DeKind::Column || !query.tags.join_candidate {
             return Vec::new();
         }
+        let overlaps = self.profiled.values().overlaps(query);
         self.profiled
-            .column_ids
+            .column_ids()
             .iter()
-            .filter_map(|&id| {
+            .zip(overlaps)
+            .filter_map(|(&id, overlap)| {
                 if id == query.id {
                     return None;
                 }
@@ -118,7 +115,13 @@ impl<'a> JoinDiscovery<'a> {
                 if candidate.table_name == query.table_name {
                     return None; // only joins across tables
                 }
-                let score = self.join_score(query, candidate);
+                let score = join_score_given(query, candidate, || {
+                    overlap_containments(
+                        overlap as usize,
+                        query.distinct_values.len(),
+                        candidate.distinct_values.len(),
+                    )
+                });
                 if score > 0.0 {
                     Some((id, score))
                 } else {
@@ -162,19 +165,22 @@ impl<'a> JoinDiscovery<'a> {
     /// linear anyway): the per-table best score is exact and does not
     /// depend on `top_k`, so paginated fetches of different depths rank
     /// tables identically.
-    pub fn joinable_table_candidates(
-        &self,
-        query_columns: &[&DeProfile],
-    ) -> std::collections::HashMap<String, f64> {
-        let mut best: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
+    pub fn joinable_table_candidates(&self, query_columns: &[&DeProfile]) -> HashMap<String, f64> {
+        let mut best: HashMap<String, f64> = HashMap::new();
         for query in query_columns {
             for (other, score) in self.joinable_candidates(query) {
-                if let Some(profile) = self.profiled.profile(other) {
-                    if let Some(other_table) = &profile.table_name {
-                        let entry = best.entry(other_table.clone()).or_insert(0.0);
-                        if score > *entry {
-                            *entry = score;
-                        }
+                let Some(other_table) = self
+                    .profiled
+                    .profile(other)
+                    .and_then(|p| p.table_name.as_deref())
+                else {
+                    continue;
+                };
+                // Clone the name only when the table is first seen.
+                match best.get_mut(other_table) {
+                    Some(entry) => *entry = entry.max(score),
+                    None => {
+                        best.insert(other_table.to_string(), score);
                     }
                 }
             }
@@ -208,99 +214,130 @@ impl<'a> JoinDiscovery<'a> {
         w_name: f64,
         w_uniqueness: f64,
     ) -> Vec<PkFkLink> {
-        let candidates: Vec<&DeProfile> = self
-            .profiled
-            .column_ids
+        let mut links =
+            self.pkfk_link_candidates(&self.pk_candidates(), w_containment, w_name, w_uniqueness);
+        sort_pkfk_links(&mut links);
+        links
+    }
+
+    /// The lake's PK candidates: key-like join-candidate columns, in column
+    /// order.
+    pub fn pk_candidates(&self) -> Vec<&'a DeProfile> {
+        self.profiled
+            .column_ids()
             .iter()
-            .filter_map(|id| self.profiled.profile(*id))
-            .collect();
-        pkfk_links_over(
-            &candidates,
-            self.config,
-            w_containment,
-            w_name,
-            w_uniqueness,
-        )
+            .filter_map(|&id| self.profiled.profile(id))
+            .filter(|p| p.tags.key_like && p.tags.join_candidate)
+            .collect()
+    }
+
+    /// The unsorted PK-FK sweep underlying
+    /// [`pkfk_links_weighted`](Self::pkfk_links_weighted): every link from
+    /// one of `pks` to a local FK candidate (any join-candidate column). The
+    /// PKs may be *foreign*: the shard router gathers every shard's PK
+    /// candidates and has each shard sweep its own FK columns, then sorts
+    /// the union with [`sort_pkfk_links`]. The pair math is per pair and
+    /// the sort is a total order (qualified names are unique across live
+    /// tables), so that merge reproduces the single-catalog links bit for
+    /// bit.
+    ///
+    /// Each PK probes the value index once; a textual pair's containment
+    /// is its overlap count over the FK column's size.
+    pub fn pkfk_link_candidates(
+        &self,
+        pks: &[&DeProfile],
+        w_containment: f64,
+        w_name: f64,
+        w_uniqueness: f64,
+    ) -> Vec<PkFkLink> {
+        let values = self.profiled.values();
+        let mut links = Vec::new();
+        for pk in pks {
+            let overlaps = values.overlaps(pk);
+            let pk_names = values.names_of(pk);
+            for (slot, (&fk_id, &overlap)) in
+                self.profiled.column_ids().iter().zip(&overlaps).enumerate()
+            {
+                let Some(fk) = self.profiled.profile(fk_id) else {
+                    continue;
+                };
+                if !fk.tags.join_candidate {
+                    continue;
+                }
+                if pk.id == fk.id || pk.table_name == fk.table_name {
+                    continue;
+                }
+                if pk.tags.numeric != fk.tags.numeric {
+                    continue;
+                }
+                let containment = if pk.tags.numeric {
+                    match (&fk.numeric, &pk.numeric) {
+                        (Some(nf), Some(np)) => {
+                            if nf.range_contained_in(np) {
+                                1.0
+                            } else {
+                                numeric_overlap(nf, np)
+                            }
+                        }
+                        _ => 0.0,
+                    }
+                } else {
+                    containment_ratio(overlap as usize, fk.distinct_values.len())
+                };
+                if containment < self.config.pkfk_containment {
+                    continue;
+                }
+                let fk_names = values.names(slot);
+                let name_sim = name_similarity_of(&pk_names.name, &fk_names.name).max(
+                    name_similarity_of(&pk_names.qualified_name, &fk_names.qualified_name),
+                );
+                if name_sim < self.config.pkfk_name_similarity {
+                    continue;
+                }
+                links.push(PkFkLink {
+                    pk: pk.id,
+                    fk: fk.id,
+                    pk_name: pk.qualified_name.clone(),
+                    fk_name: fk.qualified_name.clone(),
+                    score: w_containment * containment
+                        + w_name * name_sim
+                        + w_uniqueness * pk.uniqueness,
+                    containment,
+                    name_sim,
+                    uniqueness: pk.uniqueness,
+                });
+            }
+        }
+        links
     }
 }
 
-/// The PK-FK sweep over an explicit candidate set: the single code path
-/// shared by [`JoinDiscovery::pkfk_links_weighted`] (candidates = the local
-/// lake's columns) and the shard router (candidates = every shard's columns,
-/// gathered). The pair math is per-pair and the final sort is a total order
-/// (qualified names are unique across live tables), so the result is
-/// independent of the candidate ordering — a partitioned gather reproduces
-/// the single-catalog links bit for bit.
-///
-/// Each (PK, FK) pair is visited once. Textual containment is the exact
-/// overlap count from `text_overlaps` over the FK column's size.
-pub fn pkfk_links_over(
-    columns: &[&DeProfile],
-    config: &CmdlConfig,
-    w_containment: f64,
-    w_name: f64,
-    w_uniqueness: f64,
-) -> Vec<PkFkLink> {
-    let pk_candidates: Vec<&DeProfile> = columns
-        .iter()
-        .copied()
-        .filter(|p| p.tags.key_like && p.tags.join_candidate)
-        .collect();
-    let fk_candidates: Vec<&DeProfile> = columns
-        .iter()
-        .copied()
-        .filter(|p| p.tags.join_candidate)
-        .collect();
-
-    let overlaps = text_overlaps(&pk_candidates, &fk_candidates);
-    let mut links = Vec::new();
-    for (p, pk) in pk_candidates.iter().enumerate() {
-        for (f, fk) in fk_candidates.iter().enumerate() {
-            if pk.id == fk.id || pk.table_name == fk.table_name {
-                continue;
-            }
-            if pk.tags.numeric != fk.tags.numeric {
-                continue;
-            }
-            let containment = if pk.tags.numeric {
-                match (&fk.numeric, &pk.numeric) {
-                    (Some(nf), Some(np)) => {
-                        if nf.range_contained_in(np) {
-                            1.0
-                        } else {
-                            numeric_overlap(nf, np)
-                        }
-                    }
-                    _ => 0.0,
-                }
-            } else {
-                let overlap = overlaps[f * pk_candidates.len() + p] as usize;
-                containment_ratio(overlap, fk.distinct_values.len())
-            };
-            if containment < config.pkfk_containment {
-                continue;
-            }
-            let name_sim = name_similarity(&pk.name, &fk.name)
-                .max(name_similarity(&pk.qualified_name, &fk.qualified_name));
-            if name_sim < config.pkfk_name_similarity {
-                continue;
-            }
-            links.push(PkFkLink {
-                pk: pk.id,
-                fk: fk.id,
-                pk_name: pk.qualified_name.clone(),
-                fk_name: fk.qualified_name.clone(),
-                score: w_containment * containment
-                    + w_name * name_sim
-                    + w_uniqueness * pk.uniqueness,
-                containment,
-                name_sim,
-                uniqueness: pk.uniqueness,
-            });
-        }
+/// The join score of a column pair given its two containments, which
+/// `containments` yields only for a textual pair: numeric pairs use the
+/// numeric range overlap, and a numeric/text pair scores 0.
+fn join_score_given(
+    a: &DeProfile,
+    b: &DeProfile,
+    containments: impl FnOnce() -> (f64, f64),
+) -> f64 {
+    if a.tags.numeric && b.tags.numeric {
+        return match (&a.numeric, &b.numeric) {
+            (Some(na), Some(nb)) => numeric_overlap(na, nb),
+            _ => 0.0,
+        };
     }
-    // Tie-break on the qualified names so equal-scored links (and thus
-    // any truncated prefix) surface in a run-independent order.
+    if a.tags.numeric != b.tags.numeric {
+        return 0.0;
+    }
+    let (c_ab, c_ba) = containments();
+    c_ab.max(c_ba)
+}
+
+/// Sort PK-FK links by score descending, tie-broken on the qualified names
+/// so equal-scored links (and thus any truncated prefix) surface in a
+/// run-independent order: the canonical order, shared by the
+/// single-catalog path and the shard router's merge.
+pub fn sort_pkfk_links(links: &mut [PkFkLink]) {
     links.sort_by(|a, b| {
         b.score
             .partial_cmp(&a.score)
@@ -308,41 +345,6 @@ pub fn pkfk_links_over(
             .then_with(|| a.pk_name.cmp(&b.pk_name))
             .then_with(|| a.fk_name.cmp(&b.fk_name))
     });
-    links
-}
-
-/// `|FK ∩ PK|` of every (FK, PK) pair of textual candidates, row-major by
-/// FK (numeric columns keep 0: their containment is the range overlap).
-/// A value → PK postings map is built once; each FK column then adds one to
-/// every PK sharing each of its values, in one pass over its own values.
-/// Exact because every `distinct_values` list is duplicate-free.
-fn text_overlaps(pks: &[&DeProfile], fks: &[&DeProfile]) -> Vec<u32> {
-    let mut postings: HashMap<&str, Vec<u32>> = HashMap::new();
-    for (p, pk) in pks.iter().enumerate().filter(|(_, pk)| !pk.tags.numeric) {
-        debug_assert!(cmdl_sketch::is_strictly_increasing(&pk.distinct_values));
-        for value in &pk.distinct_values {
-            postings.entry(value.as_str()).or_default().push(p as u32);
-        }
-    }
-    let mut overlaps = vec![0u32; pks.len() * fks.len()];
-    // Nothing to count (this also covers `pks` empty, a chunk size of 0).
-    if postings.is_empty() {
-        return overlaps;
-    }
-    for (row, fk) in overlaps.chunks_mut(pks.len()).zip(fks) {
-        if fk.tags.numeric {
-            continue;
-        }
-        debug_assert!(cmdl_sketch::is_strictly_increasing(&fk.distinct_values));
-        for value in &fk.distinct_values {
-            if let Some(sharing) = postings.get(value.as_str()) {
-                for &p in sharing {
-                    row[p as usize] += 1;
-                }
-            }
-        }
-    }
-    overlaps
 }
 
 /// Sort scored join candidates by score descending, ties by ascending id —

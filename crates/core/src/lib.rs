@@ -59,6 +59,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod training;
 pub mod union;
+pub mod value_index;
 
 pub use config::{CmdlConfig, CrossModalStrategy, HardSampling, ShardPolicy, SketchScheme};
 pub use discovery::{Cmdl, DiscoveryResult, SearchMode};
@@ -82,3 +83,4 @@ pub use snapshot::CatalogSnapshot;
 pub use stats::{CmdlStats, IndexSizes};
 pub use training::{TrainingDataset, TrainingDatasetGenerator, TrainingPair};
 pub use union::{UnionDiscovery, UnionScore};
+pub use value_index::ValueIndex;

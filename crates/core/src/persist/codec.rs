@@ -30,6 +30,7 @@ use cmdl_text::DocumentFrequencyFilter;
 
 use super::io::PersistError;
 use crate::profile::{DeProfile, ProfiledLake};
+use crate::value_index::ValueIndex;
 
 /// Number of profile shards per segment. A fixed count keeps segment
 /// bytes identical across machines; decode parallelism is capped by it.
@@ -51,7 +52,7 @@ pub fn encode_profiled(profiled: &ProfiledLake) -> Vec<u8> {
                 || {
                     serde::to_bin_bytes(&(
                         &profiled.doc_ids,
-                        &profiled.column_ids,
+                        profiled.column_ids(),
                         &profiled.doc_df,
                     ))
                 },
@@ -103,17 +104,8 @@ pub fn decode_profiled(bytes: &[u8]) -> Result<ProfiledLake, PersistError> {
     }
     let (lake_part, tail_part, shard_parts) = (parts[0], parts[1], &parts[2..]);
 
-    let (lake_and_tail, shards) = rayon::join(
-        || {
-            rayon::join(
-                || serde::from_bin_bytes::<DataLake>(lake_part),
-                || {
-                    serde::from_bin_bytes::<(Vec<DeId>, Vec<DeId>, DocumentFrequencyFilter)>(
-                        tail_part,
-                    )
-                },
-            )
-        },
+    let (tail, shards) = rayon::join(
+        || serde::from_bin_bytes::<(Vec<DeId>, Vec<DeId>, DocumentFrequencyFilter)>(tail_part),
         || {
             let shards: Vec<Result<Vec<(DeId, DeProfile)>, serde::Error>> = shard_parts
                 .par_iter()
@@ -122,30 +114,34 @@ pub fn decode_profiled(bytes: &[u8]) -> Result<ProfiledLake, PersistError> {
             shards
         },
     );
-    let lake = lake_and_tail
-        .0
-        .map_err(|e| corrupt(format!("profiled lake failed to decode: {e}")))?;
-    let (doc_ids, column_ids, doc_df) = lake_and_tail
-        .1
-        .map_err(|e| corrupt(format!("profiled tail failed to decode: {e}")))?;
+    let (doc_ids, column_ids, doc_df) =
+        tail.map_err(|e| corrupt(format!("profiled tail failed to decode: {e}")))?;
     let mut decoded_shards = Vec::with_capacity(shards.len());
     for shard in shards {
         decoded_shards
             .push(shard.map_err(|e| corrupt(format!("profile shard failed to decode: {e}")))?);
     }
-
     let mut profiles = HashMap::with_capacity(decoded_shards.iter().map(Vec::len).sum());
     for shard in decoded_shards {
         profiles.extend(shard);
     }
-    Ok(ProfiledLake {
+
+    // The value index is derived state: rebuilt here, never stored. It
+    // needs only the profiles, so it is built while the source lake
+    // decodes.
+    let (lake, values) = rayon::join(
+        || serde::from_bin_bytes::<DataLake>(lake_part),
+        || ValueIndex::build(column_ids.iter().filter_map(|id| profiles.get(id))),
+    );
+    let lake = lake.map_err(|e| corrupt(format!("profiled lake failed to decode: {e}")))?;
+    Ok(ProfiledLake::with_index(
         lake,
         profiles,
         doc_ids,
-        column_ids,
+        values,
         doc_df,
-        profiling_time: Duration::ZERO,
-    })
+        Duration::ZERO,
+    ))
 }
 
 /// Split the `[u32 count] count × [u64 len][payload]` framing into
@@ -205,7 +201,7 @@ mod tests {
         let back = decode_profiled(&bytes).unwrap();
         assert_eq!(back.profiles.len(), profiled.profiles.len());
         assert_eq!(back.doc_ids, profiled.doc_ids);
-        assert_eq!(back.column_ids, profiled.column_ids);
+        assert_eq!(back.column_ids(), profiled.column_ids());
         assert_eq!(back.lake.tables().len(), profiled.lake.tables().len());
         assert_eq!(back.lake.documents().len(), profiled.lake.documents().len());
         for (id, profile) in &profiled.profiles {

@@ -29,6 +29,7 @@ use cmdl_sketch::{MinHash, MinHasher, NumericProfile};
 use cmdl_text::{BagOfWords, DocumentFrequencyFilter, Pipeline, PipelineConfig};
 
 use crate::config::CmdlConfig;
+use crate::value_index::ValueIndex;
 
 /// Heuristic tags describing which discovery tasks a column participates in
 /// (paper Section 3, "Tabular Columns Tagging").
@@ -95,8 +96,14 @@ impl DeProfile {
     }
 }
 
-/// A profiled data lake: the lake plus per-element profiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A profiled data lake: the lake plus per-element profiles, and the
+/// value postings index over its columns.
+///
+/// Column profiles enter and leave only through
+/// [`insert_column`](Self::insert_column) and
+/// [`remove_columns`](Self::remove_columns), which update the
+/// [`ValueIndex`] in the same step.
+#[derive(Debug, Clone)]
 pub struct ProfiledLake {
     /// The underlying lake.
     pub lake: DataLake,
@@ -104,22 +111,89 @@ pub struct ProfiledLake {
     pub profiles: HashMap<DeId, DeProfile>,
     /// Document element ids in document order.
     pub doc_ids: Vec<DeId>,
-    /// Column element ids in lake order.
-    pub column_ids: Vec<DeId>,
     /// Corpus-level document-frequency statistics over the live documents,
     /// maintained incrementally by the ingestion path so delta-profiled
     /// documents see exactly the statistics a batch rebuild would.
     pub doc_df: DocumentFrequencyFilter,
     /// Wall-clock time spent profiling (not persisted — a segment load
     /// restores it as zero).
-    #[serde(skip)]
     pub profiling_time: Duration,
+    /// Value postings and name keys over the columns, which also fix the
+    /// column order.
+    values: ValueIndex,
 }
 
 impl ProfiledLake {
+    /// Assemble a profiled lake and index its columns. `column_ids` gives
+    /// the column order (lake order); every id must have a profile.
+    pub(crate) fn new(
+        lake: DataLake,
+        profiles: HashMap<DeId, DeProfile>,
+        doc_ids: Vec<DeId>,
+        column_ids: &[DeId],
+        doc_df: DocumentFrequencyFilter,
+        profiling_time: Duration,
+    ) -> Self {
+        debug_assert!(column_ids.iter().all(|id| profiles.contains_key(id)));
+        let values = ValueIndex::build(column_ids.iter().filter_map(|id| profiles.get(id)));
+        Self::with_index(lake, profiles, doc_ids, values, doc_df, profiling_time)
+    }
+
+    /// [`new`](Self::new) with the value index already built, by
+    /// `ValueIndex::build` over the column profiles in column order.
+    pub(crate) fn with_index(
+        lake: DataLake,
+        profiles: HashMap<DeId, DeProfile>,
+        doc_ids: Vec<DeId>,
+        values: ValueIndex,
+        doc_df: DocumentFrequencyFilter,
+        profiling_time: Duration,
+    ) -> Self {
+        debug_assert!(values
+            .column_ids()
+            .iter()
+            .all(|id| profiles.contains_key(id)));
+        ProfiledLake {
+            lake,
+            profiles,
+            doc_ids,
+            doc_df,
+            profiling_time,
+            values,
+        }
+    }
+
     /// Profile lookup.
     pub fn profile(&self, id: DeId) -> Option<&DeProfile> {
         self.profiles.get(&id)
+    }
+
+    /// Column element ids in lake order.
+    pub fn column_ids(&self) -> &[DeId] {
+        self.values.column_ids()
+    }
+
+    /// The value postings index over the columns. Its slot `i` is
+    /// `column_ids()[i]`.
+    pub fn values(&self) -> &ValueIndex {
+        &self.values
+    }
+
+    /// Add a freshly profiled column after the existing ones.
+    pub(crate) fn insert_column(&mut self, profile: DeProfile) {
+        self.values.push(&profile);
+        self.profiles.insert(profile.id, profile);
+    }
+
+    /// Drop the given columns' profiles and index entries, returning the
+    /// removed profiles. Ids without a profile are skipped.
+    pub(crate) fn remove_columns(&mut self, ids: &[DeId]) -> Vec<DeProfile> {
+        let removed: Vec<DeProfile> = ids
+            .iter()
+            .filter_map(|id| self.profiles.remove(id))
+            .collect();
+        self.values.remove(&removed);
+        removed
     }
 
     /// Number of profiled elements.
@@ -147,19 +221,19 @@ impl ProfiledLake {
             .chain(doc_ids.iter())
             .filter_map(|id| self.profiles.get(id).map(|p| (*id, p.clone())))
             .collect();
-        ProfiledLake {
+        ProfiledLake::new(
             lake,
             profiles,
             doc_ids,
-            column_ids,
-            doc_df: self.doc_df.clone(),
-            profiling_time: Duration::ZERO,
-        }
+            &column_ids,
+            self.doc_df.clone(),
+            Duration::ZERO,
+        )
     }
 
     /// Ids of columns belonging to a table.
     pub fn columns_of_table(&self, table_name: &str) -> Vec<DeId> {
-        self.column_ids
+        self.column_ids()
             .iter()
             .copied()
             .filter(|id| {
@@ -309,14 +383,10 @@ impl Profiler {
             profiles.insert(p.id, p);
         }
 
-        ProfiledLake {
-            lake,
-            profiles,
-            doc_ids,
-            column_ids,
-            doc_df: df,
-            profiling_time: start.elapsed(),
-        }
+        let mut profiled =
+            ProfiledLake::new(lake, profiles, doc_ids, &column_ids, df, Duration::ZERO);
+        profiled.profiling_time = start.elapsed();
+        profiled
     }
 
     /// Profile one discoverable element. This is the *single* profiling code
@@ -513,7 +583,7 @@ mod tests {
             profiled.lake.num_columns() + profiled.lake.num_documents()
         );
         assert_eq!(profiled.doc_ids.len(), profiled.lake.num_documents());
-        assert_eq!(profiled.column_ids.len(), profiled.lake.num_columns());
+        assert_eq!(profiled.column_ids().len(), profiled.lake.num_columns());
         assert!(profiled.profiling_time.as_nanos() > 0);
     }
 

@@ -42,7 +42,7 @@
 //! 4. **Shared ranking code.** Every merge runs the same comparators and
 //!    aggregation helpers as the single-catalog path
 //!    ([`crate::join::sort_join_candidates`],
-//!    [`crate::union::sort_union_scores`], [`crate::join::pkfk_links_over`],
+//!    [`crate::union::sort_union_scores`], [`crate::join::sort_pkfk_links`],
 //!    and the doc-to-table aggregation in [`crate::query`]), all of which
 //!    are total orders over disjoint per-shard inputs.
 //!
@@ -94,7 +94,7 @@ use crate::config::{CmdlConfig, ShardPolicy};
 use crate::discovery::{Cmdl, SearchMode};
 use crate::error::CmdlError;
 use crate::indexes::{DeltaStats, IndexCatalog};
-use crate::join::{pkfk_links_over, sort_join_candidates, JoinDiscovery, PkFkLink};
+use crate::join::{sort_join_candidates, sort_pkfk_links, JoinDiscovery, PkFkLink};
 use crate::profile::{DeProfile, Profiler};
 use crate::query::{
     aggregate_doc_to_table, pkfk_link_hits, probe_depth, union_breakdown, DiscoveryQuery, DocQuery,
@@ -538,7 +538,7 @@ impl ShardedCmdl {
         let mut columns: Vec<(DeId, DeProfile)> = Vec::new();
         let mut documents: Vec<(DeId, DeProfile)> = Vec::new();
         for shard in guards.iter() {
-            for &id in &shard.profiled.column_ids {
+            for &id in shard.profiled.column_ids() {
                 if let Some(profile) = shard.profiled.profile(id) {
                     columns.push((id, profile.clone()));
                 }
@@ -1000,30 +1000,31 @@ impl ShardedSnapshot {
             .collect())
     }
 
-    /// The whole-lake PK-FK sweep over profiles gathered from every shard
-    /// in global id order (the sweep itself is order-independent; the
-    /// gather keeps the iteration deterministic).
+    /// The whole-lake PK-FK sweep: the PK candidates are gathered from
+    /// every shard, each shard probes its own value index with all of them
+    /// to find the links to its FK columns, and the union is sorted into
+    /// the canonical order.
     fn pkfk_links(&self, w_containment: f64, w_name: f64, w_uniqueness: f64) -> Vec<PkFkLink> {
-        let mut columns: Vec<(DeId, &DeProfile)> = self
+        let pks: Vec<&DeProfile> = self
             .shards
             .iter()
-            .flat_map(|shard| {
-                shard
-                    .profiled
-                    .column_ids
-                    .iter()
-                    .filter_map(|&id| shard.profiled.profile(id).map(|p| (id, p)))
+            .flat_map(|shard| JoinDiscovery::new(&shard.profiled, &self.config).pk_candidates())
+            .collect();
+        let per_shard: Vec<Vec<PkFkLink>> = self
+            .shards
+            .par_iter()
+            .map(|shard| {
+                JoinDiscovery::new(&shard.profiled, &self.config).pkfk_link_candidates(
+                    &pks,
+                    w_containment,
+                    w_name,
+                    w_uniqueness,
+                )
             })
             .collect();
-        columns.sort_by_key(|&(id, _)| id);
-        let candidates: Vec<&DeProfile> = columns.into_iter().map(|(_, p)| p).collect();
-        pkfk_links_over(
-            &candidates,
-            &self.config,
-            w_containment,
-            w_name,
-            w_uniqueness,
-        )
+        let mut links: Vec<PkFkLink> = per_shard.into_iter().flatten().collect();
+        sort_pkfk_links(&mut links);
+        links
     }
 
     /// The resolved PK-FK weight triple as a hashable bit key (mirrors the
@@ -1112,7 +1113,7 @@ mod tests {
             .iter()
             .flat_map(|s| {
                 s.profiled
-                    .column_ids
+                    .column_ids()
                     .iter()
                     .chain(s.profiled.doc_ids.iter())
             })

@@ -77,7 +77,7 @@ impl CatalogSnapshot {
             generation: self.generation,
             tables: self.profiled.lake.num_tables(),
             documents: self.profiled.lake.num_documents(),
-            columns: self.profiled.column_ids.len(),
+            columns: self.profiled.column_ids().len(),
             joint_trained: self.joint.is_some(),
             index_sizes: IndexSizes {
                 content: self.indexes.content.len(),
@@ -122,7 +122,7 @@ mod tests {
         assert_eq!(stats.generation, 0);
         assert_eq!(stats.tables, cmdl.profiled.lake.num_tables());
         assert_eq!(stats.documents, cmdl.profiled.lake.num_documents());
-        assert_eq!(stats.columns, cmdl.profiled.column_ids.len());
+        assert_eq!(stats.columns, cmdl.profiled.column_ids().len());
         assert!(!stats.joint_trained);
         assert_eq!(stats.index_sizes.content, cmdl.indexes.content.len());
         assert_eq!(stats.index_sizes.joint_ann, 0);

@@ -143,7 +143,7 @@ impl<'a> TrainingDatasetGenerator<'a> {
         let mut docs = self.profiled.doc_ids.clone();
         let mut columns: Vec<DeId> = self
             .profiled
-            .column_ids
+            .column_ids()
             .iter()
             .copied()
             .filter(|id| {

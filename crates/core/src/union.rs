@@ -16,8 +16,8 @@ use serde::{Deserialize, Serialize};
 
 use cmdl_datalake::DeId;
 use cmdl_index::ann::cosine_similarity;
-use cmdl_sketch::{numeric_overlap, sorted_containments};
-use cmdl_text::strsim::name_similarity;
+use cmdl_sketch::{numeric_overlap, overlap_containments, sorted_containments};
+use cmdl_text::strsim::{name_similarity, name_similarity_of};
 
 use crate::config::CmdlConfig;
 use crate::profile::{DeProfile, ProfiledLake};
@@ -87,24 +87,9 @@ impl<'a> UnionDiscovery<'a> {
 
     /// The four unionability signals between two column profiles.
     pub fn signals(&self, a: &DeProfile, b: &DeProfile) -> UnionSignals {
-        let name = name_similarity(&a.name, &b.name);
-        let containment = if a.tags.numeric || b.tags.numeric {
-            0.0
-        } else {
-            let (ab, ba) = sorted_containments(&a.distinct_values, &b.distinct_values);
-            ab.max(ba)
-        };
-        let numeric = match (&a.numeric, &b.numeric) {
-            (Some(na), Some(nb)) => numeric_overlap(na, nb),
-            _ => 0.0,
-        };
-        let semantic = cosine_similarity(&a.solo.content, &b.solo.content).max(0.0);
-        UnionSignals {
-            name,
-            containment,
-            numeric,
-            semantic,
-        }
+        signals_given(a, b, name_similarity(&a.name, &b.name), || {
+            sorted_containments(&a.distinct_values, &b.distinct_values)
+        })
     }
 
     /// Column-pair ensemble score.
@@ -158,10 +143,17 @@ impl<'a> UnionDiscovery<'a> {
         measure: &str,
     ) -> Vec<UnionScore> {
         // Candidate tables: any table owning a column with a non-trivial
-        // pairwise score against some query column.
-        let mut candidates: HashMap<String, Vec<(DeId, DeId, f64)>> = HashMap::new();
+        // pairwise score against some query column. Each query column
+        // probes the value index once and reads its overlap with every
+        // column by slot.
+        let values = self.profiled.values();
+        let mut candidates: HashMap<&str, Vec<(DeId, DeId, f64)>> = HashMap::new();
         for &(qcol, qprofile) in query {
-            for &ccol in &self.profiled.column_ids {
+            let overlaps = values.overlaps(qprofile);
+            let qnames = values.names_of(qprofile);
+            for (slot, (&ccol, &overlap)) in
+                self.profiled.column_ids().iter().zip(&overlaps).enumerate()
+            {
                 let Some(cprofile) = self.profiled.profile(ccol) else {
                     continue;
                 };
@@ -171,10 +163,18 @@ impl<'a> UnionDiscovery<'a> {
                 if ctable == query_table {
                     continue;
                 }
-                let score = self.signals(qprofile, cprofile).by_name(measure);
+                let name = name_similarity_of(&qnames.name, &values.names(slot).name);
+                let signals = signals_given(qprofile, cprofile, name, || {
+                    overlap_containments(
+                        overlap as usize,
+                        qprofile.distinct_values.len(),
+                        cprofile.distinct_values.len(),
+                    )
+                });
+                let score = signals.by_name(measure);
                 if score > 0.15 {
                     candidates
-                        .entry(ctable.to_string())
+                        .entry(ctable)
                         .or_default()
                         .push((qcol, ccol, score));
                 }
@@ -188,13 +188,17 @@ impl<'a> UnionDiscovery<'a> {
         candidates
             .into_iter()
             .filter_map(|(table, pairs)| {
-                let candidate_columns = self.profiled.columns_of_table(&table);
+                let candidate_columns = values.table_columns(table);
+                debug_assert_eq!(
+                    candidate_columns,
+                    self.profiled.columns_of_table(table).len()
+                );
                 let mapping = greedy_matching(&pairs);
                 if mapping.is_empty() {
                     return None;
                 }
                 let matched_weight: f64 = mapping.iter().map(|(_, _, s)| s).sum();
-                let denom = query.len().max(candidate_columns.len()) as f64;
+                let denom = query.len().max(candidate_columns) as f64;
                 let score = (matched_weight / denom).clamp(0.0, 1.0);
                 let id_mapping: Vec<(DeId, DeId)> =
                     mapping.iter().map(|&(q, c, _)| (q, c)).collect();
@@ -215,13 +219,40 @@ impl<'a> UnionDiscovery<'a> {
                     })
                     .collect();
                 Some(UnionScore {
-                    table,
+                    table: table.to_string(),
                     score,
                     mapping: named_mapping,
                     id_mapping,
                 })
             })
             .collect()
+    }
+}
+
+/// The four signals of a column pair given its name similarity and its two
+/// containments, which `containments` yields only for a textual pair.
+fn signals_given(
+    a: &DeProfile,
+    b: &DeProfile,
+    name: f64,
+    containments: impl FnOnce() -> (f64, f64),
+) -> UnionSignals {
+    let containment = if a.tags.numeric || b.tags.numeric {
+        0.0
+    } else {
+        let (ab, ba) = containments();
+        ab.max(ba)
+    };
+    let numeric = match (&a.numeric, &b.numeric) {
+        (Some(na), Some(nb)) => numeric_overlap(na, nb),
+        _ => 0.0,
+    };
+    let semantic = cosine_similarity(&a.solo.content, &b.solo.content).max(0.0);
+    UnionSignals {
+        name,
+        containment,
+        numeric,
+        semantic,
     }
 }
 
@@ -348,8 +379,8 @@ mod tests {
     fn signals_in_unit_range() {
         let (profiled, config) = setup();
         let discovery = UnionDiscovery::new(&profiled, &config);
-        let a = profiled.profile(profiled.column_ids[0]).unwrap();
-        let b = profiled.profile(profiled.column_ids[1]).unwrap();
+        let a = profiled.profile(profiled.column_ids()[0]).unwrap();
+        let b = profiled.profile(profiled.column_ids()[1]).unwrap();
         let s = discovery.signals(a, b);
         for v in [s.name, s.containment, s.numeric, s.semantic, s.ensemble()] {
             assert!((0.0..=1.0 + 1e-9).contains(&v), "signal out of range: {v}");

@@ -28,5 +28,5 @@ pub use minhash::{MinHash, MinHasher, SketchScheme};
 pub use numeric::{numeric_overlap, NumericProfile};
 pub use similarity::{
     containment_ratio, exact_containment, exact_jaccard, is_strictly_increasing,
-    sorted_containments,
+    overlap_containments, sorted_containments,
 };

@@ -1,8 +1,10 @@
 //! Exact set-similarity helpers.
 //!
-//! [`sorted_containments`] is the hot-path kernel: the structured discovery
-//! queries (syntactic joins, unionability) score column pairs with it, by
-//! one linear merge over two already-sorted distinct value lists.
+//! [`sorted_containments`] scores one column pair by one linear merge over
+//! two already-sorted distinct value lists. The structured discovery
+//! queries count overlaps with every column at once through a value
+//! postings index instead, and turn the counts into containments with
+//! [`overlap_containments`].
 //! [`exact_jaccard`] and [`exact_containment`] take arbitrary slices and
 //! build hash sets; they serve the baselines, brute-force ground truth
 //! (paper Table 2: "Brute force" ground truth for Benchmarks 2B/2C) and the
@@ -69,10 +71,16 @@ fn sorted_intersection_len<S: AsRef<str>>(a: &[S], b: &[S]) -> usize {
 /// `(exact_containment(a, b), exact_containment(b, a))`: with no duplicates
 /// the slice lengths are the set sizes, and an empty side gives 0.
 pub fn sorted_containments<S: AsRef<str>>(a: &[S], b: &[S]) -> (f64, f64) {
-    let inter = sorted_intersection_len(a, b);
+    overlap_containments(sorted_intersection_len(a, b), a.len(), b.len())
+}
+
+/// Both set containments `(inter / a_len, inter / b_len)` of two sets of
+/// sizes `a_len` and `b_len` that share `inter` values, however `inter`
+/// was counted.
+pub fn overlap_containments(inter: usize, a_len: usize, b_len: usize) -> (f64, f64) {
     (
-        containment_ratio(inter, a.len()),
-        containment_ratio(inter, b.len()),
+        containment_ratio(inter, a_len),
+        containment_ratio(inter, b_len),
     )
 }
 

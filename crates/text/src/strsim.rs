@@ -15,8 +15,27 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     jaro_of(&a, &b)
 }
 
+/// Names of up to this many units keep their Jaro match flags on the stack.
+const STACK_FLAGS: usize = 64;
+
 /// Jaro similarity over two sequences of characters.
 fn jaro_of<T: PartialEq>(a: &[T], b: &[T]) -> f64 {
+    if a.len() <= STACK_FLAGS && b.len() <= STACK_FLAGS {
+        let (mut a_flags, mut b_flags) = ([false; STACK_FLAGS], [false; STACK_FLAGS]);
+        jaro_with_flags(a, b, &mut a_flags[..a.len()], &mut b_flags[..b.len()])
+    } else {
+        jaro_with_flags(a, b, &mut vec![false; a.len()], &mut vec![false; b.len()])
+    }
+}
+
+/// [`jaro_of`] with caller-provided, all-false match flags, one per unit of
+/// `a` and of `b`.
+fn jaro_with_flags<T: PartialEq>(
+    a: &[T],
+    b: &[T],
+    a_matches: &mut [bool],
+    b_matches: &mut [bool],
+) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -24,8 +43,6 @@ fn jaro_of<T: PartialEq>(a: &[T], b: &[T]) -> f64 {
         return 0.0;
     }
     let match_distance = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut a_matches = vec![false; a.len()];
-    let mut b_matches = vec![false; b.len()];
     let mut matches = 0usize;
     for (i, ca) in a.iter().enumerate() {
         let start = i.saturating_sub(match_distance);
@@ -95,24 +112,46 @@ pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
 /// Token-level name similarity used for column/table names: splits names on
 /// `_`, `-`, whitespace, and case boundaries, then combines the Jaccard
 /// similarity of the token sets with the Jaro-Winkler similarity of the raw
-/// strings.
+/// strings. The same as [`name_similarity_of`] over two fresh [`NameKey`]s.
 pub fn name_similarity(a: &str, b: &str) -> f64 {
-    let mut ta = name_tokens(a);
-    let mut tb = name_tokens(b);
+    name_similarity_of(&NameKey::new(a), &NameKey::new(b))
+}
+
+/// A name prepared for [`name_similarity_of`]: its lowercase form and its
+/// token set, so a name compared many times is split and lowercased once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NameKey {
+    /// The lowercase name (the Jaro-Winkler input).
+    lower: String,
+    /// [`name_tokens`] of the name, sorted and deduplicated (a name has a
+    /// handful of tokens, so a sorted list beats a hash set).
+    tokens: Vec<String>,
+}
+
+impl NameKey {
+    /// Prepare `name`.
+    pub fn new(name: &str) -> Self {
+        let mut tokens = name_tokens(name);
+        tokens.sort_unstable();
+        tokens.dedup();
+        Self {
+            lower: name.to_lowercase(),
+            tokens,
+        }
+    }
+}
+
+/// [`name_similarity`] over prepared names.
+pub fn name_similarity_of(a: &NameKey, b: &NameKey) -> f64 {
+    let (ta, tb) = (&a.tokens, &b.tokens);
     let jaccard = if ta.is_empty() || tb.is_empty() {
         0.0
     } else {
-        // Token sets as sorted, duplicate-free lists (a name has a handful
-        // of tokens, so this beats building two hash sets).
-        ta.sort_unstable();
-        ta.dedup();
-        tb.sort_unstable();
-        tb.dedup();
         let inter = ta.iter().filter(|t| tb.binary_search(t).is_ok()).count() as f64;
         let union = (ta.len() + tb.len()) as f64 - inter;
         inter / union
     };
-    let jw = jaro_winkler(&a.to_lowercase(), &b.to_lowercase());
+    let jw = jaro_winkler(&a.lower, &b.lower);
     jaccard.max(jw * 0.9)
 }
 
@@ -179,8 +218,8 @@ mod tests {
     }
 
     /// `name_similarity` with the token sets as hash sets and Jaro over
-    /// char vectors: the reference the sorted-token lists and the ASCII byte
-    /// path must match bit for bit.
+    /// char vectors with heap match flags: the reference the sorted-token
+    /// lists, the ASCII byte path and the stack flags must match bit for bit.
     fn reference_name_similarity(a: &str, b: &str) -> f64 {
         let (ta, tb) = (name_tokens(a), name_tokens(b));
         let jaccard = if ta.is_empty() || tb.is_empty() {
@@ -194,7 +233,12 @@ mod tests {
         let (la, lb) = (a.to_lowercase(), b.to_lowercase());
         let ca: Vec<char> = la.chars().collect();
         let cb: Vec<char> = lb.chars().collect();
-        let j = jaro_of(&ca, &cb);
+        let j = jaro_with_flags(
+            &ca,
+            &cb,
+            &mut vec![false; ca.len()],
+            &mut vec![false; cb.len()],
+        );
         let prefix = ca
             .iter()
             .zip(&cb)
@@ -221,12 +265,22 @@ mod tests {
             "café owner",
             "Ünit-Price",
             "priceUnit",
+            // At and past the stack flags' length, on one side or both.
+            "Enzyme_Targets_Drug_Key_Reference_Column_With_A_Very_Long_Name_1",
+            "Enzyme_Targets_Drug_Key_Reference_Column_With_A_Very_Long_Name_01",
+            "enzyme_targets_drug_key_reference_column_with_a_very_long_name_02",
+            "Ünit_Price_Of_The_Reference_Product_In_The_Catalogue_Of_Suppliers_Ⅱ",
         ];
         for a in names {
             for b in names {
                 assert_eq!(
                     name_similarity(a, b).to_bits(),
                     reference_name_similarity(a, b).to_bits(),
+                    "{a:?} vs {b:?}"
+                );
+                assert_eq!(
+                    name_similarity_of(&NameKey::new(a), &NameKey::new(b)).to_bits(),
+                    name_similarity(a, b).to_bits(),
                     "{a:?} vs {b:?}"
                 );
             }

@@ -209,7 +209,7 @@ fn reference_join_partners(snap: &CatalogSnapshot, query: &DeProfile) -> Vec<(De
     }
     let profiled = &snap.profiled;
     profiled
-        .column_ids
+        .column_ids()
         .iter()
         .filter_map(|&id| {
             let candidate = profiled.profile(id)?;
@@ -292,7 +292,7 @@ fn reference_unionable(snap: &CatalogSnapshot, table: &str, top_k: usize) -> Vec
     let mut candidates: HashMap<String, Vec<(DeId, DeId, f64)>> = HashMap::new();
     for &qcol in &query {
         let qprofile = profiled.profile(qcol).unwrap();
-        for &ccol in &profiled.column_ids {
+        for &ccol in profiled.column_ids() {
             let cprofile = profiled.profile(ccol).unwrap();
             let ctable = cprofile.table_name.clone().unwrap();
             if ctable == table {
@@ -349,7 +349,7 @@ fn reference_pkfk(
     let (w_containment, w_name, w_uniqueness) = weights;
     let profiled = &snap.profiled;
     let columns: Vec<&DeProfile> = profiled
-        .column_ids
+        .column_ids()
         .iter()
         .filter_map(|id| profiled.profile(*id))
         .collect();

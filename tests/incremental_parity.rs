@@ -1,6 +1,10 @@
 //! Incremental-ingestion parity: building the pharma lake in one batch and
 //! building it as a seed subset plus `ingest_*` deltas (with a final
-//! `compact()`) must yield identical discovery results.
+//! `compact()`) must yield identical discovery results. The structured
+//! surfaces (joinable, unionable, PK-FK) read the value postings index,
+//! which every ingest and removal updates in place, so they must also agree
+//! before any compaction and after `Cmdl::open` reloads the durable
+//! directory.
 //!
 //! This is the guard that keeps the delta path honest: every index delta
 //! (BM25 postings with lazy IDF, LSH pending inserts and tombstones, ANN
@@ -102,6 +106,14 @@ fn discovery_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(Strin
             .collect();
         surfaces.push((format!("cross_modal[{qi}]"), results));
     }
+    surfaces.extend(structured_surface(cmdl));
+    surfaces
+}
+
+/// The joinable, unionable and PK-FK results of a system, over every live
+/// table.
+fn structured_surface(cmdl: &Cmdl) -> Vec<(String, Vec<(String, f64)>)> {
+    let mut surfaces = Vec::new();
     let mut table_names: Vec<String> = cmdl
         .profiled
         .lake
@@ -139,15 +151,56 @@ fn discovery_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(Strin
 }
 
 fn assert_systems_agree(batch: &Cmdl, incremental: &Cmdl, queries: &[String]) {
-    let batch_surface = discovery_surface(batch, queries);
-    let incremental_surface = discovery_surface(incremental, queries);
-    assert_eq!(batch_surface.len(), incremental_surface.len());
-    for ((tag_a, results_a), (tag_b, results_b)) in
-        batch_surface.iter().zip(incremental_surface.iter())
-    {
+    assert_surfaces_agree(
+        "",
+        &discovery_surface(batch, queries),
+        &discovery_surface(incremental, queries),
+    );
+}
+
+fn assert_structured_agree(stage: &str, batch: &Cmdl, incremental: &Cmdl) {
+    assert_surfaces_agree(
+        stage,
+        &structured_surface(batch),
+        &structured_surface(incremental),
+    );
+}
+
+type Surface = Vec<(String, Vec<(String, f64)>)>;
+
+fn assert_surfaces_agree(stage: &str, batch: &Surface, incremental: &Surface) {
+    assert_eq!(batch.len(), incremental.len(), "{stage}: surface sizes");
+    for ((tag_a, results_a), (tag_b, results_b)) in batch.iter().zip(incremental.iter()) {
         assert_eq!(tag_a, tag_b);
-        assert_result_parity(tag_a, results_a, results_b);
+        assert_result_parity(&format!("{stage}{tag_a}"), results_a, results_b);
     }
+}
+
+/// A fresh scratch directory for a durable catalog.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "cmdl-incremental-parity-{}-{name}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A configuration that never compacts on its own, so the catalog keeps
+/// every delta until the test says otherwise.
+fn uncompacted_config() -> CmdlConfig {
+    CmdlConfig {
+        compaction_ratio: f64::INFINITY,
+        ..CmdlConfig::fast()
+    }
+}
+
+/// Reload a durable catalog from its directory (segment plus WAL replay).
+fn reopen(dir: &std::path::Path) -> Cmdl {
+    Cmdl::open(dir, uncompacted_config(), || {
+        panic!("the catalog directory must load")
+    })
+    .unwrap()
 }
 
 #[test]
@@ -222,4 +275,68 @@ fn removal_then_compact_matches_batch_of_survivors() {
     assert_eq!(batch.profiled.len(), incremental.profiled.len());
     let queries = query_workload(&surviving_tables, &surviving_docs);
     assert_systems_agree(&batch, &incremental, &queries);
+}
+
+#[test]
+fn structured_results_agree_after_ingest_before_compaction_and_after_reopen() {
+    let (lake, tables, documents) = full_lake();
+    let batch = Cmdl::build(lake, CmdlConfig::fast());
+
+    let table_seed = (tables.len() * 9).div_ceil(10);
+    let doc_seed = (documents.len() * 9).div_ceil(10);
+    let dir = scratch_dir("ingest");
+    let seed_lake = lake_of("pharma-seed", &tables[..table_seed], &documents[..doc_seed]);
+    let mut incremental = Cmdl::open(&dir, uncompacted_config(), || seed_lake).unwrap();
+    for table in &tables[table_seed..] {
+        incremental.ingest_table(table.clone()).unwrap();
+    }
+    for doc in &documents[doc_seed..] {
+        incremental.ingest_document(doc.clone()).unwrap();
+    }
+    assert_structured_agree("ingest, uncompacted: ", &batch, &incremental);
+
+    drop(incremental);
+    let reopened = reopen(&dir);
+    assert_eq!(batch.profiled.len(), reopened.profiled.len());
+    assert_structured_agree("ingest, reopened: ", &batch, &reopened);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn structured_results_agree_after_removal_before_compaction_and_after_reopen() {
+    let (lake, tables, documents) = full_lake();
+    // A table from the middle as well as the last one, so the removal
+    // moves the slots of every later column.
+    let removed_tables: Vec<String> = [&tables[1], &tables[tables.len() - 1]]
+        .iter()
+        .map(|t| t.name.clone())
+        .collect();
+    let surviving_tables: Vec<Table> = tables
+        .iter()
+        .filter(|t| !removed_tables.contains(&t.name))
+        .cloned()
+        .collect();
+    let surviving_docs: Vec<Document> = documents[..documents.len() - 2].to_vec();
+    let batch = Cmdl::build(
+        lake_of("pharma-survivors", &surviving_tables, &surviving_docs),
+        CmdlConfig::fast(),
+    );
+
+    let dir = scratch_dir("removal");
+    let mut incremental = Cmdl::open(&dir, uncompacted_config(), || lake).unwrap();
+    for name in &removed_tables {
+        incremental.remove_table(name).unwrap();
+    }
+    for index in (documents.len() - 2..documents.len()).rev() {
+        incremental.remove_document(index).unwrap();
+    }
+    assert_structured_agree("removal, uncompacted: ", &batch, &incremental);
+
+    drop(incremental);
+    let reopened = reopen(&dir);
+    assert_eq!(batch.profiled.len(), reopened.profiled.len());
+    assert_structured_agree("removal, reopened: ", &batch, &reopened);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }

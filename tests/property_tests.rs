@@ -7,12 +7,14 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use cmdl::core::{Cmdl, CmdlConfig, SearchMode};
-use cmdl::datalake::{Column, DataLake, Document, Table};
+use cmdl::core::{Cmdl, CmdlConfig, DeProfile, Profiler, SearchMode, ValueIndex};
+use cmdl::datalake::{Column, DataLake, DeId, Document, Table};
 use cmdl::eval::{precision_at_k, r_precision, recall_at_k};
 use cmdl::index::{InvertedIndex, ScoringFunction, TopK};
 use cmdl::nn::{triplet_loss, Matrix, TripletBatch};
-use cmdl::sketch::{exact_containment, exact_jaccard, sorted_containments, MinHasher};
+use cmdl::sketch::{
+    exact_containment, exact_jaccard, overlap_containments, sorted_containments, MinHasher,
+};
 use cmdl::text::{BagOfWords, Pipeline, PipelineConfig};
 
 fn word_vec() -> impl Strategy<Value = Vec<String>> {
@@ -88,6 +90,67 @@ proptest! {
             prop_assert_eq!(xy.to_bits(), exact_containment(x, y).to_bits());
             prop_assert_eq!(yx.to_bits(), exact_containment(y, x).to_bits());
         }
+    }
+
+    /// The value index's overlap counts equal the merge intersection behind
+    /// `sorted_containments`, slot by slot, and give the same containments
+    /// bit for bit: for every indexed column as the query (a probe by value
+    /// ids), for a foreign column the index does not hold (a probe by
+    /// dictionary lookup), and again after one column is removed. The lake
+    /// holds random columns plus an empty one, an equal copy, a subset and
+    /// a disjoint column of the first.
+    #[test]
+    fn value_index_overlaps_match_merge(
+        columns in prop::collection::vec(prop::collection::vec("[abcZé]{1,3}", 0..20), 1..5),
+        foreign in prop::collection::vec("[abcZé]{1,3}", 0..20),
+        gone in 0usize..16,
+    ) {
+        let profiler = Profiler::new(&CmdlConfig::fast());
+        let profile = |id: u64, values: &[String]| -> DeProfile {
+            let column = Column::from_texts("value", values.iter().cloned());
+            profiler.profile_column(DeId(id), &format!("T{id}"), &column, values.len())
+        };
+        let first = &columns[0];
+        let subset: Vec<String> = first.iter().step_by(2).cloned().collect();
+        let disjoint: Vec<String> = foreign.iter().filter(|w| !first.contains(w)).cloned().collect();
+        let mut lake: Vec<DeProfile> = columns
+            .iter()
+            .chain([&Vec::new(), first, &subset, &disjoint])
+            .enumerate()
+            .map(|(i, values)| profile(i as u64, values))
+            .collect();
+        prop_assert!(lake.iter().all(|p| !p.tags.numeric));
+        let foreign = profile(1_000, &foreign);
+
+        let check = |index: &ValueIndex, lake: &[DeProfile]| -> Result<(), TestCaseError> {
+            let ids: Vec<DeId> = lake.iter().map(|p| p.id).collect();
+            prop_assert_eq!(index.column_ids(), ids.as_slice());
+            for query in lake.iter().chain([&foreign]) {
+                let overlaps = index.overlaps(query);
+                prop_assert_eq!(overlaps.len(), lake.len());
+                let values: BTreeSet<&String> = query.distinct_values.iter().collect();
+                for (column, &overlap) in lake.iter().zip(&overlaps) {
+                    let merged = column.distinct_values.iter().filter(|v| values.contains(v)).count();
+                    prop_assert_eq!(overlap as usize, merged);
+                    let (qc, cq) = overlap_containments(
+                        overlap as usize,
+                        query.distinct_values.len(),
+                        column.distinct_values.len(),
+                    );
+                    let (want_qc, want_cq) =
+                        sorted_containments(&query.distinct_values, &column.distinct_values);
+                    prop_assert_eq!(qc.to_bits(), want_qc.to_bits());
+                    prop_assert_eq!(cq.to_bits(), want_cq.to_bits());
+                }
+            }
+            Ok(())
+        };
+
+        let mut index = ValueIndex::build(&lake);
+        check(&index, &lake)?;
+        let removed = lake.remove(gone % lake.len());
+        index.remove(std::slice::from_ref(&removed));
+        check(&index, &lake)?;
     }
 
     /// The NLP pipeline never panics and produces only non-empty lowercase
