@@ -332,9 +332,7 @@ impl Cmdl {
     fn restore_from_segment(segment: &LoadedSegment) -> Result<Self, PersistError> {
         fn section<'a>(segment: &'a LoadedSegment, name: &str) -> Result<&'a [u8], PersistError> {
             segment
-                .sections
-                .get(name)
-                .map(Vec::as_slice)
+                .section(name)
                 .ok_or_else(|| PersistError::Corrupt(format!("segment missing section '{name}'")))
         }
         fn parse<T: Deserialize>(name: &str, bytes: &[u8]) -> Result<T, PersistError> {

@@ -104,6 +104,16 @@ pub fn decode_profiled(bytes: &[u8]) -> Result<ProfiledLake, PersistError> {
     }
     let (lake_part, tail_part, shard_parts) = (parts[0], parts[1], &parts[2..]);
 
+    // Workers take contiguous runs of shards, and column profiles, several
+    // times the size of document profiles, cluster by id. Taking the
+    // shards even-first spreads the columns over the workers.
+    let shard_parts: Vec<&[u8]> = shard_parts
+        .iter()
+        .step_by(2)
+        .chain(shard_parts.iter().skip(1).step_by(2))
+        .copied()
+        .collect();
+
     let (tail, shards) = rayon::join(
         || serde::from_bin_bytes::<(Vec<DeId>, Vec<DeId>, DocumentFrequencyFilter)>(tail_part),
         || {
@@ -125,10 +135,10 @@ pub fn decode_profiled(bytes: &[u8]) -> Result<ProfiledLake, PersistError> {
     for shard in decoded_shards {
         profiles.extend(shard);
     }
-
-    // The value index is derived state: rebuilt here, never stored. It
-    // needs only the profiles, so it is built while the source lake
-    // decodes.
+    // The value index is derived state, rebuilt here and never stored. It
+    // needs the profiles, so it is built while the source lake decodes: the
+    // lake decode is the longer of the two. Decoding the lake alongside the
+    // shards instead would leave the build alone on the critical path.
     let (lake, values) = rayon::join(
         || serde::from_bin_bytes::<DataLake>(lake_part),
         || ValueIndex::build(column_ids.iter().filter_map(|id| profiles.get(id))),

@@ -38,6 +38,7 @@ pub use segment::{read_sections, SectionWriter, SEGMENT_MAGIC};
 pub use wal::{decode_frames, encode_frame, Wal, WalOpen, WalRecord};
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -104,8 +105,19 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, PersistError> {
 pub struct LoadedSegment {
     /// The live manifest.
     pub manifest: Manifest,
-    /// Section payloads by name.
-    pub sections: HashMap<String, Vec<u8>>,
+    /// The whole segment file.
+    bytes: Vec<u8>,
+    /// Byte range of each section's payload within `bytes`, by name.
+    sections: HashMap<String, Range<usize>>,
+}
+
+impl LoadedSegment {
+    /// The payload of section `name`, if the segment has one.
+    pub fn section(&self, name: &str) -> Option<&[u8]> {
+        self.sections
+            .get(name)
+            .map(|range| &self.bytes[range.clone()])
+    }
 }
 
 /// Load and fully verify the live segment of `dir`. `Ok(None)` means a
@@ -137,8 +149,21 @@ pub fn load_segment(io: &Io, dir: &Path) -> Result<Option<LoadedSegment>, Persis
             manifest.segment
         )));
     }
-    let sections = sections?.into_iter().collect::<HashMap<_, _>>();
-    Ok(Some(LoadedSegment { manifest, sections }))
+    // Payloads stay in the file buffer: a copy of a multi-megabyte
+    // segment costs about as much as checksumming it.
+    let base = segment_bytes.as_ptr() as usize;
+    let sections = sections?
+        .into_iter()
+        .map(|(name, payload)| {
+            let start = payload.as_ptr() as usize - base;
+            (name, start..start + payload.len())
+        })
+        .collect();
+    Ok(Some(LoadedSegment {
+        manifest,
+        bytes: segment_bytes,
+        sections,
+    }))
 }
 
 /// How a persistent catalog came up.
@@ -347,8 +372,8 @@ mod tests {
         let loaded = load_segment(&io, &dir).unwrap().expect("manifest exists");
         assert_eq!(loaded.manifest.generation, 3);
         assert_eq!(loaded.manifest.last_applied_lsn, lsn);
-        assert_eq!(loaded.sections["lake"], b"alpha");
-        assert_eq!(loaded.sections["meta"], b"beta");
+        assert_eq!(loaded.section("lake"), Some(&b"alpha"[..]));
+        assert_eq!(loaded.section("meta"), Some(&b"beta"[..]));
         // The WAL was truncated: reopening with the manifest floor
         // replays nothing.
         drop(handle);
@@ -450,7 +475,7 @@ mod tests {
         let loaded = load_segment(&Io::real(), &dir)
             .expect("no corruption")
             .expect("manifest live");
-        assert_eq!(loaded.sections["lake"], b"good");
+        assert_eq!(loaded.section("lake"), Some(&b"good"[..]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -68,10 +68,11 @@ impl SectionWriter {
 /// naming the failing section.
 ///
 /// Framing is walked serially (it is a few bytes per section), but the
-/// expensive part — checksumming and copying multi-megabyte payloads —
-/// fans out over the rayon pool so segment verification scales with
-/// cores like the rebuild path it competes against.
-pub fn read_sections(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, PersistError> {
+/// expensive part — checksumming multi-megabyte payloads — fans out over
+/// the rayon pool so segment verification scales with cores like the
+/// rebuild path it competes against. Payloads are borrowed from `bytes`,
+/// never copied.
+pub fn read_sections(bytes: &[u8]) -> Result<Vec<(String, &[u8])>, PersistError> {
     if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         return Err(PersistError::Corrupt("segment magic mismatch".into()));
     }
@@ -103,7 +104,7 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, PersistErro
         framed.push((name, expected, &rest[..payload_len]));
         rest = &rest[payload_len..];
     }
-    let verified: Vec<Result<(String, Vec<u8>), PersistError>> = framed
+    let verified: Vec<Result<(), PersistError>> = framed
         .par_iter()
         .map(|(name, expected, payload)| {
             if xxh64(payload, 0) != *expected {
@@ -111,10 +112,14 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, PersistErro
                     "section '{name}' checksum mismatch"
                 )));
             }
-            Ok((name.clone(), payload.to_vec()))
+            Ok(())
         })
         .collect();
-    verified.into_iter().collect()
+    verified.into_iter().collect::<Result<(), _>>()?;
+    Ok(framed
+        .into_iter()
+        .map(|(name, _, payload)| (name, payload))
+        .collect())
 }
 
 #[cfg(test)]
@@ -130,9 +135,9 @@ mod tests {
         let bytes = writer.finish();
         let sections = read_sections(&bytes).unwrap();
         assert_eq!(sections.len(), 3);
-        assert_eq!(sections[0], ("lake".to_string(), b"alpha".to_vec()));
+        assert_eq!(sections[0], ("lake".to_string(), &b"alpha"[..]));
         assert_eq!(sections[1].0, "indexes");
-        assert_eq!(sections[2], ("empty".to_string(), Vec::new()));
+        assert_eq!(sections[2], ("empty".to_string(), &b""[..]));
     }
 
     #[test]
@@ -153,10 +158,10 @@ mod tests {
                     // be silently wrong under the *original* name.
                     for (name, payload) in &sections {
                         if name == "a" {
-                            assert_eq!(payload, b"payload-one", "flip at byte {i}");
+                            assert_eq!(*payload, b"payload-one", "flip at byte {i}");
                         }
                         if name == "b" {
-                            assert_eq!(payload, b"payload-two", "flip at byte {i}");
+                            assert_eq!(*payload, b"payload-two", "flip at byte {i}");
                         }
                     }
                 }

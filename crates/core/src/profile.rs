@@ -99,10 +99,9 @@ impl DeProfile {
 /// A profiled data lake: the lake plus per-element profiles, and the
 /// value postings index over its columns.
 ///
-/// Column profiles enter and leave only through
-/// [`insert_column`](Self::insert_column) and
-/// [`remove_columns`](Self::remove_columns), which update the
-/// [`ValueIndex`] in the same step.
+/// Column profiles enter and leave only through the crate-internal
+/// `insert_column` and `remove_columns`, which update the [`ValueIndex`]
+/// in the same step.
 #[derive(Debug, Clone)]
 pub struct ProfiledLake {
     /// The underlying lake.

@@ -188,7 +188,11 @@ impl<'a> UnionDiscovery<'a> {
         candidates
             .into_iter()
             .filter_map(|(table, pairs)| {
-                let candidate_columns = values.table_columns(table);
+                let candidate_columns = self
+                    .profiled
+                    .lake
+                    .table(table)
+                    .map_or(0, |t| t.num_columns());
                 debug_assert_eq!(
                     candidate_columns,
                     self.profiled.columns_of_table(table).len()

@@ -78,8 +78,6 @@ pub struct ValueIndex {
     postings: Vec<Vec<u32>>,
     /// Value ids whose value left the dictionary, for reuse.
     free: Vec<u32>,
-    /// Indexed columns per table name.
-    table_columns: HashMap<String, usize>,
 }
 
 impl ValueIndex {
@@ -95,11 +93,6 @@ impl ValueIndex {
     /// Column ids by slot, in lake order.
     pub fn column_ids(&self) -> &[DeId] {
         &self.columns
-    }
-
-    /// Number of indexed columns of `table`.
-    pub(crate) fn table_columns(&self, table: &str) -> usize {
-        self.table_columns.get(table).copied().unwrap_or(0)
     }
 
     /// Prepared name keys of the column in `slot`.
@@ -178,9 +171,6 @@ impl ValueIndex {
             values,
             names: ColumnNames::of(profile),
         });
-        if let Some(table) = &profile.table_name {
-            *self.table_columns.entry(table.clone()).or_insert(0) += 1;
-        }
     }
 
     /// Drop the given columns' slots. Each removed column leaves its
@@ -194,14 +184,6 @@ impl ValueIndex {
                 continue;
             };
             dropped[slot as usize] = true;
-            if let Some(table) = &profile.table_name {
-                if let Some(count) = self.table_columns.get_mut(table) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.table_columns.remove(table);
-                    }
-                }
-            }
             // The slot's value ids follow `distinct_values` one to one.
             let values = std::mem::take(&mut self.slots[slot as usize].values);
             for (id, value) in values.into_iter().zip(&profile.distinct_values) {
