@@ -149,8 +149,8 @@ pub fn load_segment(io: &Io, dir: &Path) -> Result<Option<LoadedSegment>, Persis
             manifest.segment
         )));
     }
-    // Payloads stay in the file buffer: a copy of a multi-megabyte
-    // segment costs about as much as checksumming it.
+    // Payloads stay in the file buffer: copying them out would be one more
+    // pass over every byte of the segment on each open.
     let base = segment_bytes.as_ptr() as usize;
     let sections = sections?
         .into_iter()
